@@ -158,8 +158,12 @@ let run ?(config = default) ~policy ~ladder ~bandwidth ?delays ~slot_s ~start
     invalid_arg "Client.run: delays length mismatch"
   | _ -> ());
   if start < 0 || start >= len then invalid_arg "Client.run: start out of range";
-  let total_bw = Array.fold_left ( +. ) 0.0 bandwidth in
-  if not (total_bw > 0.0) then
+  (* Left to right, as [Array.fold_left ( +. )] would, but unboxed. *)
+  let total_bw = ref 0.0 in
+  for i = 0 to len - 1 do
+    total_bw := !total_bw +. Array.unsafe_get bandwidth i
+  done;
+  if not (!total_bw > 0.0) then
     invalid_arg "Client.run: bandwidth trace sums to zero";
   let nlev = Array.length ladder.Ladder.rates in
   let chunk_s = ladder.Ladder.chunk_s in

@@ -6,6 +6,7 @@ module D = Ss_stats.Descriptive
 type t = {
   dist : Dist.t;
   h : float -> float;
+  moments : (float * float) option Atomic.t;  (* memo of [moments], filled on first use *)
 }
 
 let clamp_gauss x = if x > 8.0 then 8.0 else if x < -8.0 then -8.0 else x
@@ -18,7 +19,7 @@ let make_with_cdf cdf dist =
        term is likewise strictly positive at |x| = 8). *)
     dist.Dist.quantile p
   in
-  { dist; h }
+  { dist; h; moments = Atomic.make None }
 
 let make dist = make_with_cdf Special.normal_cdf dist
 
@@ -33,15 +34,25 @@ let apply t xs = Array.map t.h xs
 
 let quad_n = 128
 
+(* Two quadrature passes, E h and E h^2, once per transform value.
+   The variance is clamped at 0 (the clamp passes NaN through), so a
+   rounding-negative variance reads as degenerate everywhere. A domain
+   racing the first request computes the same bits, so whichever
+   write lands is the memo. *)
 let moments t =
-  let mu = Quad.gaussian_expectation ~n:quad_n t.h in
-  let m2 = Quad.gaussian_expectation ~n:quad_n (fun x -> t.h x *. t.h x) in
-  let hx = Quad.gaussian_expectation ~n:quad_n (fun x -> t.h x *. x) in
-  (mu, m2 -. (mu *. mu), hx)
+  match Atomic.get t.moments with
+  | Some m -> m
+  | None ->
+    let mu = Quad.gaussian_expectation ~n:quad_n t.h in
+    let m2 = Quad.gaussian_expectation ~n:quad_n (fun x -> let y = t.h x in y *. y) in
+    let m = (mu, Stdlib.max 0.0 (m2 -. (mu *. mu))) in
+    Atomic.set t.moments (Some m);
+    m
 
 let attenuation t =
-  let _, var, hx = moments t in
+  let _, var = moments t in
   if var <= 0.0 then invalid_arg "Transform.attenuation: degenerate transform";
+  let hx = Quad.gaussian_expectation ~n:quad_n (fun x -> t.h x *. x) in
   let a = hx *. hx /. var in
   (* Schwarz guarantees a <= 1; clip quadrature rounding. *)
   Stdlib.min a 1.0
@@ -87,7 +98,7 @@ let hermite_coefficient t ~k =
 
 (* Squared Hermite coefficients c_1^2 .. c_terms^2 over Var h. *)
 let hermite_spectrum t ~terms =
-  let _, var, _ = moments t in
+  let _, var = moments t in
   if var <= 0.0 then invalid_arg "Transform: degenerate transform";
   Array.init terms (fun j ->
       let c = hermite_coefficient t ~k:(j + 1) in

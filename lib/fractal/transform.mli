@@ -38,11 +38,18 @@ val apply1 : t -> float -> float
 val apply : t -> float array -> float array
 (** Map a whole background path to the foreground process. *)
 
+val moments : t -> float * float
+(** [(E h(X), Var h(X))] by 128-point Gauss–Hermite quadrature, the
+    variance clamped at 0. Computed once per transform value, on the
+    first request from any domain, and read from the memo after that;
+    a racing first request computes the same bits. A {!relax}ed twin
+    is a new value with its own memo. *)
+
 val attenuation : t -> float
 (** Theoretical attenuation factor
     [a = (E h(X) X)^2 / Var h(X)] by 128-point Gauss–Hermite
-    quadrature. Always in (0, 1] for non-degenerate [h] (Appendix A,
-    Schwarz inequality). *)
+    quadrature, reusing {!moments}. Always in (0, 1] for
+    non-degenerate [h] (Appendix A, Schwarz inequality). *)
 
 val attenuation_measured :
   acf:Acf.t -> n:int -> lags:int list -> Ss_stats.Rng.t -> t -> float

@@ -1,5 +1,4 @@
 module Rng = Ss_stats.Rng
-module Quad = Ss_stats.Quadrature
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
 module Davies_harte = Ss_fractal.Davies_harte
@@ -542,22 +541,18 @@ let paxson_clipping_check ~acf ~n ~allow =
          (100.0 *. ratio) acf.Acf.name n);
   ratio
 
-(* Per-slot marginal moments of a transform, by Gauss-Hermite
-   quadrature on the standard-normal background. *)
-let transform_moments h =
-  let m = Quad.gaussian_expectation ~n:128 (fun x -> Transform.apply1 h x) in
-  let m2 = Quad.gaussian_expectation ~n:128 (fun x -> let y = Transform.apply1 h x in y *. y) in
-  (m, Stdlib.max 0.0 (m2 -. (m *. m)))
-
 let of_model_gen ~name ~order ~shift ~probe model rng =
   let acf = Model.background_acf model in
   let bg = background_stream_gen ~acf ~order ~shift ~probe rng in
   let h = model.Model.transform in
-  let _, sigma2 = transform_moments h in
+  let _, sigma2 = Transform.moments h in
   (* Clamp at zero like [of_mpeg]: histogram-inverse transforms can
      dip slightly negative in the far tail, and Mux.run rejects
-     negative work. *)
-  let pull () = (Stdlib.max 0.0 (Transform.apply1 h (bg ())), 0) in
+     negative work. Monomorphic [Stdlib.max 0.0 w], as in [of_model]. *)
+  let pull () =
+    let w = Transform.apply1 h (bg ()) in
+    ((if 0.0 >= w then 0.0 else w), 0)
+  in
   make ~name ~mean:model.Model.mean ~sigma2 ~hurst:model.Model.hurst pull
 
 let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?precision ?kernel
@@ -574,7 +569,7 @@ let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?precision ?
   let h =
     if kernel = `Exact then model.Model.transform else Transform.relax model.Model.transform
   in
-  let _, sigma2 = transform_moments h in
+  let _, sigma2 = Transform.moments h in
   (* Same per-slot arithmetic as the scalar path: transform, then the
      zero clamp of [of_model_gen]. The clamp is [Stdlib.max 0.0 w]
      monomorphized ([if 0.0 >= w then 0.0 else w] — the same
@@ -638,7 +633,7 @@ let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?precision ?ke
     let sum_m = ref 0.0 and sum_m2 = ref 0.0 in
     for i = 0 to period - 1 do
       let h = transform (Gop.kind_at gop i) in
-      let mk, vk = transform_moments h in
+      let mk, vk = Transform.moments h in
       sum_m := !sum_m +. mk;
       sum_m2 := !sum_m2 +. vk +. (mk *. mk)
     done;

@@ -53,19 +53,28 @@ let physicists_nodes n =
   done;
   (x, w)
 
+(* Shared by every domain: lookups and inserts happen under the
+   mutex, the Newton build outside it, inserted if absent. A racing
+   build of the same [n] computes the same bits; the first insert
+   wins and every caller returns that one array. *)
 let cache : (int, (float * float) array) Hashtbl.t = Hashtbl.create 8
+let cache_mutex = Mutex.create ()
 
 let hermite_nodes ~n =
   if n <= 0 || n > 256 then invalid_arg "Quadrature.hermite_nodes: n outside [1,256]";
-  match Hashtbl.find_opt cache n with
+  match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache n) with
   | Some nodes -> nodes
   | None ->
     let x, w = physicists_nodes n in
     let nodes =
       Array.init n (fun i -> (sqrt 2.0 *. x.(i), w.(i) /. sqrt_pi))
     in
-    Hashtbl.add cache n nodes;
-    nodes
+    Mutex.protect cache_mutex (fun () ->
+        match Hashtbl.find_opt cache n with
+        | Some winner -> winner
+        | None ->
+          Hashtbl.add cache n nodes;
+          nodes)
 
 let gaussian_expectation ?(n = 96) f =
   let nodes = hermite_nodes ~n in

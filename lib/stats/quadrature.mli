@@ -10,7 +10,8 @@ val hermite_nodes : n:int -> (float * float) array
     probabilists' Gauss–Hermite quadrature, normalized so that
     [sum w_i f(x_i)] approximates [E f(Z)] for Z standard normal.
     Exact for polynomials up to degree [2n-1]. Results are memoized
-    per [n]. @raise Invalid_argument if [n <= 0 || n > 256]. *)
+    per [n] in a cache that any domain may call concurrently.
+    @raise Invalid_argument if [n <= 0 || n > 256]. *)
 
 val gaussian_expectation : ?n:int -> (float -> float) -> float
 (** [gaussian_expectation f] is [E f(Z)], Z standard normal, by

@@ -1,17 +1,21 @@
-(* xoshiro256++ with splitmix64 seeding. The cached Gaussian deviate
-   from the polar method is stored in the state so that [copy] and
+(* xoshiro256++ with splitmix64 seeding. The four state words live
+   unboxed in a 32-byte buffer, so a draw boxes no Int64 and stores
+   no heap pointer. The cached Gaussian deviate from the polar method
+   sits in a one-slot float array next to it, so that [copy] and
    [split] preserve reproducibility. *)
 
 type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-  mutable gauss_cache : float;
+  s : Bytes.t;  (* s0..s3 at byte offsets 0, 8, 16, 24 *)
+  gauss_cache : float array;  (* one slot *)
   mutable gauss_full : bool;
 }
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+(* Native-endian and unchecked: [s] is always 32 bytes, and the words
+   are only ever read and written through these two. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64 step: returns next output and updated state. *)
 let splitmix64 st =
@@ -24,61 +28,67 @@ let splitmix64 st =
 let all_zero s0 s1 s2 s3 =
   Int64.equal s0 0L && Int64.equal s1 0L && Int64.equal s2 0L && Int64.equal s3 0L
 
-let create ~seed =
-  let st = Int64.of_int seed in
+let of_words s0 s1 s2 s3 =
+  let s = Bytes.create 32 in
+  set64 s 0 s0;
+  set64 s 8 s1;
+  set64 s 16 s2;
+  set64 s 24 s3;
+  { s; gauss_cache = [| 0.0 |]; gauss_full = false }
+
+(* Four splitmix64 outputs from [st]. splitmix64 output of a fixed
+   walk is never all-zero in practice, but guard anyway: an all-zero
+   xoshiro state is absorbing. *)
+let of_splitmix st =
   let s0, st = splitmix64 st in
   let s1, st = splitmix64 st in
   let s2, st = splitmix64 st in
   let s3, _ = splitmix64 st in
-  (* splitmix64 output of a fixed walk is never all-zero in practice,
-     but guard anyway: an all-zero xoshiro state is absorbing. *)
   let s3 = if all_zero s0 s1 s2 s3 then 1L else s3 in
-  { s0; s1; s2; s3; gauss_cache = 0.0; gauss_full = false }
+  of_words s0 s1 s2 s3
+
+let create ~seed = of_splitmix (Int64.of_int seed)
 
 let of_state a =
   if Array.length a <> 4 then invalid_arg "Rng.of_state: need 4 words";
   if all_zero a.(0) a.(1) a.(2) a.(3) then invalid_arg "Rng.of_state: all-zero state";
-  { s0 = a.(0); s1 = a.(1); s2 = a.(2); s3 = a.(3); gauss_cache = 0.0; gauss_full = false }
+  of_words a.(0) a.(1) a.(2) a.(3)
 
 let copy_into ~src ~dst =
-  dst.s0 <- src.s0;
-  dst.s1 <- src.s1;
-  dst.s2 <- src.s2;
-  dst.s3 <- src.s3;
-  dst.gauss_cache <- src.gauss_cache;
+  Bytes.blit src.s 0 dst.s 0 32;
+  dst.gauss_cache.(0) <- src.gauss_cache.(0);
   dst.gauss_full <- src.gauss_full
 
 let copy t =
-  {
-    s0 = t.s0;
-    s1 = t.s1;
-    s2 = t.s2;
-    s3 = t.s3;
-    gauss_cache = t.gauss_cache;
-    gauss_full = t.gauss_full;
-  }
+  { s = Bytes.copy t.s; gauss_cache = [| t.gauss_cache.(0) |]; gauss_full = t.gauss_full }
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+(* One xoshiro256++ step. Inlined into every draw loop, so the words
+   stay in registers between the load and the store. *)
+let[@inline] next s =
+  let s0 = get64 s 0 and s1 = get64 s 8 and s2 = get64 s 16 and s3 = get64 s 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  let s2 = Int64.logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  set64 s 0 s0;
+  set64 s 8 s1;
+  set64 s 16 s2;
+  set64 s 24 s3;
   result
+
+(* 53 high bits -> uniform in [0,1). *)
+let[@inline] next_float s = Int64.to_float (Int64.shift_right_logical (next s) 11) *. 0x1.0p-53
+
+let bits64 t = next t.s
 
 let split t =
   (* Derive a child state by running splitmix64 from a word drawn
      from the parent; recommended practice for xoshiro seeding. *)
-  let st = bits64 t in
-  let s0, st = splitmix64 st in
-  let s1, st = splitmix64 st in
-  let s2, st = splitmix64 st in
-  let s3, _ = splitmix64 st in
-  let s3 = if all_zero s0 s1 s2 s3 then 1L else s3 in
-  { s0; s1; s2; s3; gauss_cache = 0.0; gauss_full = false }
+  of_splitmix (next t.s)
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: n < 0";
@@ -91,10 +101,7 @@ let split_n t n =
   done;
   out
 
-let float t =
-  (* 53 high bits -> uniform in [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let float t = next_float t.s
 
 let float_range t a b =
   if b <= a then invalid_arg "Rng.float_range: empty range";
@@ -109,28 +116,29 @@ let int_range t lo hi =
     grow 1
   in
   let rec draw () =
-    let v = Int64.to_int (Int64.logand (bits64 t) (Int64.of_int mask)) in
+    let v = Int64.to_int (Int64.logand (next t.s) (Int64.of_int mask)) in
     if v < span then lo + v else draw ()
   in
   if span = 1 then lo else draw ()
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.compare (Int64.logand (next t.s) 1L) 0L <> 0
 
 let gaussian t =
   if t.gauss_full then begin
     t.gauss_full <- false;
-    t.gauss_cache
+    t.gauss_cache.(0)
   end
   else begin
     (* Marsaglia polar method. *)
+    let st = t.s in
     let rec draw () =
-      let u = (2.0 *. float t) -. 1.0 in
-      let v = (2.0 *. float t) -. 1.0 in
+      let u = (2.0 *. next_float st) -. 1.0 in
+      let v = (2.0 *. next_float st) -. 1.0 in
       let s = (u *. u) +. (v *. v) in
       if s >= 1.0 || s = 0.0 then draw ()
       else begin
         let f = sqrt (-2.0 *. log s /. s) in
-        t.gauss_cache <- v *. f;
+        t.gauss_cache.(0) <- v *. f;
         t.gauss_full <- true;
         u *. f
       end
@@ -145,16 +153,17 @@ let fill_gaussian t buf ~off ~len =
   let stop = off + len in
   if !i < stop && t.gauss_full then begin
     t.gauss_full <- false;
-    Array.unsafe_set buf !i t.gauss_cache;
+    Array.unsafe_set buf !i t.gauss_cache.(0);
     incr i
   end;
+  let st = t.s in
   (* Same polar-pair state machine as [gaussian], batched: emit [u*f]
      then [v*f]; when the trailing [v*f] does not fit it lands in the
      cache, so the emitted sequence and final state are exactly those
      of [len] successive [gaussian] calls. *)
   while !i < stop do
-    let u = (2.0 *. float t) -. 1.0 in
-    let v = (2.0 *. float t) -. 1.0 in
+    let u = (2.0 *. next_float st) -. 1.0 in
+    let v = (2.0 *. next_float st) -. 1.0 in
     let s = (u *. u) +. (v *. v) in
     if not (s >= 1.0 || s = 0.0) then begin
       let f = sqrt (-2.0 *. log s /. s) in
@@ -165,7 +174,7 @@ let fill_gaussian t buf ~off ~len =
         incr i
       end
       else begin
-        t.gauss_cache <- v *. f;
+        t.gauss_cache.(0) <- v *. f;
         t.gauss_full <- true
       end
     end
@@ -176,11 +185,11 @@ module R = Ss_checkpoint.R
 
 let save t w =
   W.tag w "rng";
-  W.i64 w t.s0;
-  W.i64 w t.s1;
-  W.i64 w t.s2;
-  W.i64 w t.s3;
-  W.float w t.gauss_cache;
+  W.i64 w (get64 t.s 0);
+  W.i64 w (get64 t.s 8);
+  W.i64 w (get64 t.s 16);
+  W.i64 w (get64 t.s 24);
+  W.float w t.gauss_cache.(0);
   W.bool w t.gauss_full
 
 let restore t r =
@@ -195,11 +204,11 @@ let restore t r =
     raise (Ss_checkpoint.Corrupt "rng: all-zero xoshiro state in checkpoint");
   (* In place: sources and kernels capture the generator by closure,
      so restore must mutate the live object, not return a fresh one. *)
-  t.s0 <- s0;
-  t.s1 <- s1;
-  t.s2 <- s2;
-  t.s3 <- s3;
-  t.gauss_cache <- gauss_cache;
+  set64 t.s 0 s0;
+  set64 t.s 8 s1;
+  set64 t.s 16 s2;
+  set64 t.s 24 s3;
+  t.gauss_cache.(0) <- gauss_cache;
   t.gauss_full <- gauss_full
 
 let gaussian_mv t ~mean ~std =

@@ -281,8 +281,21 @@ let test_client_invalid () =
       ~slot_s ~start ()
   in
   raises_invalid "empty trace" (fun () -> run ~bandwidth:[||] ());
-  raises_invalid "zero-sum trace" (fun () ->
-      run ~bandwidth:(Array.make 8 0.0) ());
+  (* The row total is summed left to right: zero, negative and NaN
+     totals are refused by name, and so is a total that cancels to
+     zero only in that order (1e16 +. 1 rounds back to 1e16). *)
+  List.iter
+    (fun (name, bandwidth) ->
+      match run ~bandwidth () with
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) name "Client.run: bandwidth trace sums to zero" msg
+      | _ -> Alcotest.failf "%s: expected the zero-sum refusal" name)
+    [
+      ("zero-sum trace", Array.make 8 0.0);
+      ("negative-sum trace", [| 1.0; -3.0; 1.0 |]);
+      ("nan-sum trace", [| 1.0; Float.nan; 1.0 |]);
+      ("cancels left to right", [| 1e16; 1.0; -1e16 |]);
+    ];
   raises_invalid "start out of range" (fun () -> run ~start:100 ());
   raises_invalid "negative start" (fun () -> run ~start:(-1) ());
   raises_invalid "delays mismatch" (fun () ->

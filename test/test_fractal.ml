@@ -828,6 +828,29 @@ let test_attenuation_identity_is_one () =
   let t = Transform.make (Dist.normal ~mean:5.0 ~std:3.0) in
   close ~eps:1e-6 "linear transform a=1" 1.0 (Transform.attenuation t)
 
+let test_transform_moments () =
+  (* The memo holds exactly the two 128-node passes, E h and E h^2,
+     and the variance clamp: same nodes, same summation order. *)
+  let t = Transform.make (Dist.gamma ~shape:2.0 ~scale:3.0) in
+  let mu = Ss_stats.Quadrature.gaussian_expectation ~n:128 (Transform.apply1 t) in
+  let m2 =
+    Ss_stats.Quadrature.gaussian_expectation ~n:128 (fun x ->
+        let y = Transform.apply1 t x in
+        y *. y)
+  in
+  let same msg a b =
+    if Int64.bits_of_float a <> Int64.bits_of_float b then
+      Alcotest.failf "%s: %.17g <> %.17g" msg a b
+  in
+  let mu', var' = Transform.moments t in
+  same "mean" mu mu';
+  same "variance" (Stdlib.max 0.0 (m2 -. (mu *. mu))) var';
+  let mu'', var'' = Transform.moments t in
+  same "memoized mean" mu' mu'';
+  same "memoized variance" var' var'';
+  close ~eps:1e-3 "gamma mean" 6.0 mu';
+  close ~eps:0.05 "gamma variance" 18.0 var'
+
 let test_attenuation_in_unit_interval () =
   List.iter
     (fun (name, d) ->
@@ -1234,6 +1257,7 @@ let () =
           tc "clamps extremes" test_transform_clamps_extremes;
           tc "relax close to exact" test_transform_relax_close;
           tc "attenuation of linear is 1" test_attenuation_identity_is_one;
+          tc "moments memo" test_transform_moments;
           tc "attenuation in (0,1]" test_attenuation_in_unit_interval;
           tc "attenuation closed form" test_attenuation_exponential_closed_form;
           tc "measured vs theory" test_attenuation_measured_close_to_theory;

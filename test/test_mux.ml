@@ -311,6 +311,14 @@ let test_source_of_model_clamps_negatives () =
     if w = 0.0 then saw_zero := true
   done;
   if not !saw_zero then Alcotest.fail "marginal never dipped negative; test is vacuous";
+  (* The twisted scalar pull clamps the same way, slot for slot. *)
+  let plain = Source.of_model ~order:32 m (Rng.create ~seed:7) in
+  let twisted = Source.of_model_twisted ~order:32 ~shift:(fun _ -> 0.0) m (Rng.create ~seed:7) in
+  for k = 1 to 2000 do
+    let w, _ = Source.next plain and w', _ = Source.next twisted in
+    if Int64.bits_of_float w <> Int64.bits_of_float w' then
+      Alcotest.failf "slot %d: twisted clamp %.17g <> plain %.17g" k w' w
+  done;
   let s2 = Source.of_model ~order:32 m (Rng.create ~seed:7) in
   let (_ : Mux.report) = Mux.run ~service:1.0 ~slots:2000 [| s2 |] in
   ()
@@ -1490,8 +1498,8 @@ let test_mux_sharded_probe_dispatch () =
 (* Small shared configuration: 2 sources at per-source utilization
    0.75, a buffer of 8 per-source means — an event common enough for
    plain MC to resolve, so IS and MC can be compared directly. *)
-let mux_is_small ?(twist = 0.0) ?profile ?scales () =
-  let m = Lazy.force small_model in
+let mux_is_small ?model ?(twist = 0.0) ?profile ?scales () =
+  let m = match model with Some m -> m | None -> Lazy.force small_model in
   let n = 2 in
   let mean = m.Ss_core.Model.mean in
   Mux_is.make_config ~model:m ~sources:n ~order:24
@@ -1537,6 +1545,14 @@ let test_mux_is_agrees_with_plain_mc () =
   let tol = band mc +. band is_ in
   if sep > tol then Alcotest.failf "IS %g vs MC %g exceeds joint band %g" is_.Mc.p mc.Mc.p tol
 
+(* Fixtures captured as [Int64.bits_of_float] before the marginal
+   moments moved into a per-transform memo: the memo must leave every
+   estimate and source descriptor bit for bit where it was. *)
+let check_bits msg expected actual =
+  if Int64.bits_of_float actual <> expected then
+    Alcotest.failf "%s: expected bits 0x%Lx, got 0x%Lx (%.17g)" msg expected
+      (Int64.bits_of_float actual) actual
+
 let test_mux_is_pool_bit_identical () =
   (* The Fanout substream discipline makes the estimate a pure
      function of the root RNG: any pool size gives the same bits. *)
@@ -1551,7 +1567,72 @@ let test_mux_is_pool_bit_identical () =
   let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
   Alcotest.(check bool) "p bits" true (same seq.Mc.p par.Mc.p);
   Alcotest.(check bool) "variance bits" true (same seq.Mc.variance par.Mc.variance);
-  Alcotest.(check int) "hits" seq.Mc.hits par.Mc.hits
+  Alcotest.(check int) "hits" seq.Mc.hits par.Mc.hits;
+  check_bits "fixture p" 0x3fd8477aad50c2c6L seq.Mc.p;
+  check_bits "fixture variance" 0x3fbd02e75f058b9bL seq.Mc.variance;
+  Alcotest.(check int) "fixture hits" 42 seq.Mc.hits
+
+let test_mux_is_fixture_wide () =
+  (* 16 sources at order 256, the shape of the paper's Fig 14 runs. *)
+  let m = Lazy.force small_model in
+  let mean = m.Ss_core.Model.mean in
+  let cfg =
+    Mux_is.make_config ~model:m ~sources:16 ~order:256 ~service:(16.0 *. mean /. 0.7)
+      ~buffer:(120.0 *. mean) ~slots:300 ~twist:0.75 ()
+  in
+  let e = Mux_is.estimate cfg ~replications:20 (Rng.create ~seed:97) in
+  check_bits "p" 0x3f2e1e8e29778251L e.Mc.p;
+  check_bits "variance" 0x3e95cce12ca39ab0L e.Mc.variance;
+  Alcotest.(check int) "hits" 14 e.Mc.hits
+
+let test_source_moment_fixtures () =
+  let m = Lazy.force small_model in
+  let rng () = Rng.create ~seed:1 in
+  check_bits "of_model exact sigma2" 0x4174020db4dd4f0cL (Source.of_model m (rng ())).Source.sigma2;
+  check_bits "of_model fft sigma2" 0x4174020cd76578acL
+    (Source.of_model ~kernel:`Fft m (rng ())).Source.sigma2;
+  check_bits "of_model_twisted sigma2" 0x4174020db4dd4f0cL
+    (Source.of_model_twisted ~shift:(fun _ -> 0.0) m (rng ())).Source.sigma2;
+  let mp = Lazy.force small_mpeg in
+  let exact = Source.of_mpeg mp (rng ()) and fft = Source.of_mpeg ~kernel:`Fft mp (rng ()) in
+  check_bits "of_mpeg exact mean" 0x40a8f01c2c232628L exact.Source.mean;
+  check_bits "of_mpeg exact sigma2" 0x4162620c2ed1e44fL exact.Source.sigma2;
+  check_bits "of_mpeg fft mean" 0x40a8f01c30c7e885L fft.Source.mean;
+  check_bits "of_mpeg fft sigma2" 0x4162620c2a21603bL fft.Source.sigma2
+
+let test_mux_is_cold_moments_under_pool () =
+  (* A transform whose moments were never requested: the first
+     request comes from pool domains building twisted sources for
+     concurrent replications. The estimate must equal the sequential
+     one bit for bit, and the memo must then hold the same bits. *)
+  let m = Lazy.force small_model in
+  let fresh () =
+    {
+      m with
+      Ss_core.Model.transform =
+        Ss_fractal.Transform.make (Ss_fractal.Transform.dist m.Ss_core.Model.transform);
+    }
+  in
+  let cfg model = mux_is_small ~model ~twist:0.4 () in
+  let seq = Mux_is.estimate (cfg (fresh ())) ~replications:64 (Rng.create ~seed:95) in
+  let cold = fresh () in
+  let pool = Pool.create ~domains:3 in
+  let par =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> Mux_is.estimate ~pool (cfg cold) ~replications:64 (Rng.create ~seed:95))
+  in
+  check_bits "p" (Int64.bits_of_float seq.Mc.p) par.Mc.p;
+  check_bits "variance" (Int64.bits_of_float seq.Mc.variance) par.Mc.variance;
+  Alcotest.(check int) "hits" seq.Mc.hits par.Mc.hits;
+  let t = cold.Ss_core.Model.transform in
+  let mu, var = Ss_fractal.Transform.moments t in
+  let mu', var' = Ss_fractal.Transform.moments t in
+  let mu0, var0 = Ss_fractal.Transform.moments m.Ss_core.Model.transform in
+  check_bits "memoized mean" (Int64.bits_of_float mu) mu';
+  check_bits "memoized variance" (Int64.bits_of_float var) var';
+  check_bits "mean = original transform's" (Int64.bits_of_float mu0) mu;
+  check_bits "variance = original transform's" (Int64.bits_of_float var0) var
 
 let test_mux_is_mean_stop_slot () =
   (* Twisting toward overflow shortens first passage on average. *)
@@ -2039,6 +2120,7 @@ let () =
           tc "streaming = truncated Hosking" test_background_stream_matches_truncated_hosking;
           tc "of_model streams" test_source_of_model_streams;
           tc "of_model clamps negatives" test_source_of_model_clamps_negatives;
+          tc "moment fixtures" test_source_moment_fixtures;
           tc "table_for error prefix" test_source_table_for_error_prefix;
           tc "twisted zero shift = plain" test_source_twisted_zero_shift_identity;
           tc "of_mpeg priority classes" test_source_of_mpeg_classes;
@@ -2090,6 +2172,8 @@ let () =
           tc "replicate contract" test_mux_is_replicate_contract;
           tc "agrees with plain MC" test_mux_is_agrees_with_plain_mc;
           tc "pool bit-identical" test_mux_is_pool_bit_identical;
+          tc "fixture: 16 sources, order 256" test_mux_is_fixture_wide;
+          tc "cold moments under a pool" test_mux_is_cold_moments_under_pool;
           tc "twist shortens first passage" test_mux_is_mean_stop_slot;
           tc "invalid" test_mux_is_invalid;
         ] );

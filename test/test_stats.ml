@@ -125,6 +125,60 @@ let test_rng_fill_gaussian_matches_gaussian () =
   raises_invalid "negative len" (fun () -> Rng.fill_gaussian b got ~off:0 ~len:(-1));
   raises_invalid "range overflow" (fun () -> Rng.fill_gaussian b got ~off:total ~len:1)
 
+(* Every draw entry point, split/copy/copy_into, the checkpoint bytes
+   and a restore, over ~4 M deviates, digested. The digest was taken
+   while the state still lived in four boxed Int64 fields: the unboxed
+   state must keep every stream and every snapshot byte. *)
+let test_rng_golden_stream () =
+  let buf = Buffer.create 4096 in
+  let addf x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let r = Rng.create ~seed:42 in
+  for _ = 1 to 1000 do
+    Buffer.add_int64_le buf (Rng.bits64 r)
+  done;
+  for _ = 1 to 1000 do
+    addf (Rng.float r)
+  done;
+  for _ = 1 to 1001 do
+    addf (Rng.gaussian r)
+  done;
+  let a = Array.make 4096 0.0 in
+  for k = 1 to 1000 do
+    Rng.fill_gaussian r a ~off:(k mod 7) ~len:(4000 + (k mod 3));
+    Array.iter addf a
+  done;
+  let c = Rng.split r in
+  let d = Rng.copy c in
+  for _ = 1 to 7 do
+    addf (Rng.gaussian c)
+  done;
+  Buffer.add_string buf (string_of_int (Rng.int_range d 3 1000));
+  Buffer.add_string buf (string_of_bool (Rng.bool d));
+  Rng.copy_into ~src:c ~dst:d;
+  addf (Rng.gaussian d);
+  let w = Ss_checkpoint.W.create () in
+  Rng.save c w;
+  let bytes = Ss_checkpoint.W.contents w in
+  Buffer.add_string buf bytes;
+  let e = Rng.create ~seed:1 in
+  Rng.restore e (Ss_checkpoint.R.of_string bytes);
+  addf (Rng.gaussian e);
+  Array.iter (fun x -> addf (Rng.float x)) (Rng.split_n r 5);
+  addf (Rng.exponential (Rng.of_state [| 1L; 2L; 3L; 4L |]) ~rate:2.0);
+  Alcotest.(check string)
+    "stream digest" "523bf0e0ba5f7b80bf7d17c34f577ec6"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_rng_fill_gaussian_no_alloc () =
+  let rng = Rng.create ~seed:78 in
+  let buf = Array.make 65_536 0.0 in
+  Rng.fill_gaussian rng buf ~off:0 ~len:16;
+  let w0 = Gc.minor_words () in
+  Rng.fill_gaussian rng buf ~off:0 ~len:65_536;
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0.0 then
+    Alcotest.failf "65536 fill_gaussian draws allocated %.0f minor words" words
+
 let test_rng_int_range () =
   let rng = Rng.create ~seed:8 in
   let counts = Array.make 7 0 in
@@ -699,6 +753,28 @@ let test_hermite_gaussian_expectation_nonpoly () =
   (* E[Phi(Z)] = 1/2 by symmetry *)
   close ~eps:1e-10 "E[Phi(Z)]" 0.5 (Quad.gaussian_expectation Special.normal_cdf)
 
+let test_hermite_nodes_domain_safe () =
+  (* Node counts no other test asks for, so the four domains race cold
+     inserts, and the table's resizes, on the shared cache. Each walks
+     the counts from a different start. *)
+  let counts = List.init 32 (fun i -> 200 + i) in
+  let bits nodes =
+    Array.map (fun (x, w) -> (Int64.bits_of_float x, Int64.bits_of_float w)) nodes
+  in
+  let walk d =
+    let late, early = List.partition (fun n -> n - 200 >= 8 * d) counts in
+    List.map (fun n -> (n, bits (Quad.hermite_nodes ~n))) (late @ early)
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (fun () -> walk d)) in
+  List.iteri
+    (fun d got ->
+      List.iter
+        (fun (n, b) ->
+          if Array.length b <> n || b <> bits (Quad.hermite_nodes ~n) then
+            Alcotest.failf "domain %d, n=%d: nodes differ from the sequential call" d n)
+        got)
+    (List.map Domain.join domains)
+
 let test_hermite_invalid () =
   raises_invalid "n = 0" (fun () -> Quad.hermite_nodes ~n:0);
   raises_invalid "n too big" (fun () -> Quad.hermite_nodes ~n:257)
@@ -849,6 +925,8 @@ let () =
           tc "gaussian moments" test_rng_gaussian_moments;
           tc "gaussian tail" test_rng_gaussian_tail;
           tc "fill_gaussian = gaussian" test_rng_fill_gaussian_matches_gaussian;
+          tc "golden stream" test_rng_golden_stream;
+          tc "fill_gaussian allocates nothing" test_rng_fill_gaussian_no_alloc;
           tc "int_range uniform" test_rng_int_range;
           tc "int_range singleton" test_rng_int_range_singleton;
           tc "split independence" test_rng_split_independence;
@@ -936,6 +1014,7 @@ let () =
           tc "hermite symmetry" test_hermite_nodes_symmetric;
           tc "non-polynomial expectations" test_hermite_gaussian_expectation_nonpoly;
           tc "hermite invalid" test_hermite_invalid;
+          tc "hermite nodes across domains" test_hermite_nodes_domain_safe;
           tc "simpson polynomial" test_simpson_polynomial;
           tc "simpson trig" test_simpson_trig;
           tc "simpson empty" test_simpson_empty_interval;
