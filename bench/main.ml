@@ -25,7 +25,6 @@ module Acf = Ss_fractal.Acf
 module Acf_fit = Ss_fractal.Acf_fit
 module Hosking = Ss_fractal.Hosking
 module DH = Ss_fractal.Davies_harte
-module Paxson = Ss_fractal.Paxson
 module Hurst = Ss_fractal.Hurst
 module Transform = Ss_fractal.Transform
 module Trace = Ss_video.Trace
@@ -52,17 +51,13 @@ let reps = Defaults.replications
    nan/inf tokens %g would print, which strict parsers reject. *)
 let jf = Ss_json.float_str
 
-(* throughput-smoke variant selectors, set by the driver from
-   trailing `--backend`/`--precision`/`--kernel` flags: CI runs the
-   smoke gate once per synthesis variant. The default (hosking/exact)
-   keeps the original bitwise gates; the paxson/relaxed/fft variants
-   swap the cross-backend agreement checks for the statistical gates
-   that define those tiers (sample-ACF and variance-time Hurst
-   agreement — approximate synthesis has no bitwise contract to
-   check). `--kernel` supersedes `--precision` exactly as it does on
-   the vbrsim CLI. *)
-let smoke_backend : [ `Hosking | `Paxson ] ref = ref `Hosking
-let smoke_precision : [ `Exact | `Relaxed ] ref = ref `Exact
+(* throughput-smoke kernel selector, set by the driver from a
+   trailing `--kernel` flag: CI runs the smoke gate once per kernel.
+   The default (exact) keeps the original bitwise gates; the fft
+   variant swaps the cross-backend agreement checks for the
+   statistical gates that define that tier (sample-ACF and
+   variance-time Hurst agreement — it has no bitwise contract with
+   the exact kernel to check). *)
 let smoke_kernel : Ss_mux.Source.kernel ref = ref `Exact
 
 (* Machine/toolchain metadata (Machine_info is generated at build
@@ -230,7 +225,7 @@ let fig7 () =
   let d = diagnostics () in
   let acf = Acf_fit.to_acf d.Fit.raw_fit in
   let n = 32_768 in
-  let x = DH.generate (DH.plan ~acf ~n) (rng_for "fig7") in
+  let x = DH.generate (DH.plan ~acf ~n ()) (rng_for "fig7") in
   let y = Transform.apply m.Model.transform x in
   let rx = D.acf x ~max_lag:500 and ry = D.acf y ~max_lag:500 in
   pf "# lag  r_X  r_Y  ratio\n";
@@ -486,7 +481,7 @@ let abl_gen () =
   in
   bench "hosking-table" (fun rng -> Hosking.generate table rng);
   bench "hosking-stream" (fun rng -> Hosking.generate_stream ~acf ~n rng);
-  let plan = DH.plan ~acf ~n in
+  let plan = DH.plan ~acf ~n () in
   bench "davies-harte" (fun rng -> DH.generate plan rng);
   bench "truncated-ar(64)" (fun rng -> Hosking.generate_truncated ~acf ~n ~max_order:64 rng)
 
@@ -523,7 +518,7 @@ let abl_atten () =
   let n = Array.length sizes in
   let re = D.acf sizes ~max_lag:300 in
   let compare_method name acf_bg =
-    match DH.plan ~acf:acf_bg ~n with
+    match DH.plan ~acf:acf_bg ~n () with
     | exception Invalid_argument msg -> pf "%-12s  NOT GENERATABLE (%s)\n" name msg
     | plan ->
       let synth = Transform.apply m.Model.transform (DH.generate plan (rng_for ("abl-atten-" ^ name))) in
@@ -561,7 +556,7 @@ let abl_hurst () =
   List.iter
     (fun h ->
       let x =
-        DH.generate (DH.plan ~acf:(Acf.fgn ~h) ~n:32_768)
+        DH.generate (DH.plan ~acf:(Acf.fgn ~h) ~n:32_768 ())
           (rng_for (Printf.sprintf "abl-hurst-%g" h))
       in
       let vt = (Hurst.variance_time ?pool:(pool ()) x).Hurst.h in
@@ -1539,25 +1534,11 @@ let throughput () =
         ~name:(Printf.sprintf "block-order-%d" order)
         ~order ~n:n_kernel ~domains:1 t_b;
       pf "# order %d: block/scalar speedup %.2fx\n" order (t_s /. t_b);
-      (* Relaxed tier: same blocked drain under the reassociated
-         4-accumulator dot kernel and erf-free CDF. Deterministic per
+      (* FFT tier: the overlap-save block kernel. Deterministic per
          seed (best_of still asserts repeat equality) but on a
          different sample path than the exact tier, so no cross-tier
          bitwise compare — the statistical gates live in
          throughput-smoke and the test suite. *)
-      let relaxed () =
-        let rng = rng_for (Printf.sprintf "tp-kernel-%d" order) in
-        drain (Ss_mux.Source.of_model ~order ~precision:`Relaxed m rng) n_kernel
-      in
-      let a_r, t_r = best_of (fun () -> time_gc relaxed) in
-      sink := !sink +. a_r;
-      row ~section:"kernel"
-        ~name:(Printf.sprintf "block-relaxed-order-%d" order)
-        ~order ~n:n_kernel ~domains:1 t_r;
-      pf "# order %d: relaxed/exact block time ratio %.2f\n" order (t_r /. t_b);
-      (* FFT tier: the overlap-save block kernel. Same contract as
-         relaxed — deterministic per seed, statistically gated, never
-         compared bitwise against the exact tier. *)
       let fft () =
         let rng = rng_for (Printf.sprintf "tp-kernel-%d" order) in
         drain (Ss_mux.Source.of_model ~order ~kernel:`Fft m rng) n_kernel
@@ -1576,7 +1557,7 @@ let throughput () =
      synthesis stays inside the timing. *)
   List.iter
     (fun n ->
-      ignore (Ss_mux.Source.plan_for ~acf ~n : DH.plan);
+      ignore (Ss_mux.Source.plan_for ~acf ~n () : DH.plan);
       let a_h, t_h =
         best_of (fun () ->
             time_gc (fun () ->
@@ -1594,26 +1575,15 @@ let throughput () =
                   n))
       in
       let gc_d = (!gc_minor, !gc_major) in
-      ignore (Ss_mux.Source.paxson_plan_for ~acf ~n : Ss_fractal.Paxson.plan);
-      let a_p, t_p =
-        best_of (fun () ->
-            time_gc (fun () ->
-                drain
-                  (Ss_mux.Source.of_model ~order:512 ~backend:`Paxson ~horizon:n m
-                     (rng_for (Printf.sprintf "tp-px-%d" n)))
-                  n))
-      in
-      sink := !sink +. a_h +. a_d +. a_p;
+      sink := !sink +. a_h +. a_d;
       row ~gc:gc_h ~section:"horizon"
         ~name:(Printf.sprintf "hosking-512-n%d" n)
         ~order:512 ~n ~domains:1 t_h;
       row ~gc:gc_d ~section:"horizon"
         ~name:(Printf.sprintf "davies-harte-n%d" n)
         ~order:512 ~n ~domains:1 t_d;
-      row ~section:"horizon" ~name:(Printf.sprintf "paxson-n%d" n) ~order:512 ~n ~domains:1 t_p;
-      pf "# n=%d: davies-harte/hosking time ratio %.2f, paxson/hosking %.2f (< 1 means the \
-          FFT path wins)\n"
-        n (t_d /. t_h) (t_p /. t_h))
+      pf "# n=%d: davies-harte/hosking time ratio %.2f (< 1 means the FFT path wins)\n" n
+        (t_d /. t_h))
     [ 1 lsl 12; 1 lsl 15; 1 lsl 17 ];
   (* C. End-to-end mux slot loop, 8 sources. *)
   let slots = 16384 in
@@ -1998,19 +1968,12 @@ let throughput () =
   ratio "block_speedup_order_64" "scalar-order-64" "block-order-64";
   ratio "block_speedup_order_512" "scalar-order-512" "block-order-512";
   ratio "block_speedup_order_2048" "scalar-order-2048" "block-order-2048";
-  ratio "relaxed_block_speedup_order_64" "block-order-64" "block-relaxed-order-64";
-  ratio "relaxed_block_speedup_order_512" "block-order-512" "block-relaxed-order-512";
-  ratio "relaxed_block_speedup_order_2048" "block-order-2048" "block-relaxed-order-2048";
   ratio "fft_block_speedup_order_64" "block-order-64" "block-fft-order-64";
   ratio "fft_block_speedup_order_512" "block-order-512" "block-fft-order-512";
   ratio "fft_block_speedup_order_2048" "block-order-2048" "block-fft-order-2048";
   ratio "dh_over_hosking_time_n4096" "davies-harte-n4096" "hosking-512-n4096";
   ratio "dh_over_hosking_time_n32768" "davies-harte-n32768" "hosking-512-n32768";
   ratio "dh_over_hosking_time_n131072" "davies-harte-n131072" "hosking-512-n131072";
-  ratio "paxson_over_hosking_time_n4096" "paxson-n4096" "hosking-512-n4096";
-  ratio "paxson_over_hosking_time_n32768" "paxson-n32768" "hosking-512-n32768";
-  ratio "paxson_over_hosking_time_n131072" "paxson-n131072" "hosking-512-n131072";
-  ratio "paxson_speedup_n4096" "hosking-512-n4096" "paxson-n4096";
   let nr = List.length !scaling_ratios in
   List.iteri
     (fun i (k, v) ->
@@ -2034,28 +1997,17 @@ let throughput () =
    the table covering the whole horizon both backends are exact
    synthesizers of the same law, so only MC noise separates them. *)
 let throughput_smoke () =
-  let backend = !smoke_backend in
-  (* `--precision relaxed` is the historical spelling of
-     `--kernel relaxed`; fold it in so either flag selects the tier. *)
-  let kernel =
-    match !smoke_precision with `Relaxed -> `Relaxed | `Exact -> !smoke_kernel
-  in
-  let default_mode = backend = `Hosking && kernel = `Exact in
+  let kernel = !smoke_kernel in
   pf "# throughput-smoke: block/scalar mux equivalence + cross-backend overflow agreement\n";
-  pf "# variant: backend=%s kernel=%s\n"
-    (match backend with `Hosking -> "hosking" | `Paxson -> "paxson")
-    (match kernel with `Exact -> "exact" | `Relaxed -> "relaxed" | `Fft -> "fft");
+  pf "# variant: kernel=%s\n" (match kernel with `Exact -> "exact" | `Fft -> "fft");
   let m = model () in
   let n = 2 and order = 64 and slots = 4096 in
   let service = 2.0 *. m.Model.mean /. 0.7 in
   let buffer = 30.0 *. m.Model.mean in
-  let horizon = match backend with `Hosking -> None | `Paxson -> Some slots in
   let mk () =
     let rng = rng_for "tp-smoke-mux" in
     Array.init n (fun i ->
-        Ss_mux.Source.of_model ~name:(Printf.sprintf "s%d" i) ~order
-          ~backend:(backend :> Ss_mux.Source.backend)
-          ~kernel ?horizon m (Rng.split rng))
+        Ss_mux.Source.of_model ~name:(Printf.sprintf "s%d" i) ~order ~kernel m (Rng.split rng))
   in
   let scalarize s =
     Ss_mux.Source.make ~name:s.Ss_mux.Source.name ~mean:s.Ss_mux.Source.mean
@@ -2089,15 +2041,15 @@ let throughput_smoke () =
     r_s.Ss_mux.Mux.loss_fraction;
   if not ok then failwith "throughput-smoke: block and scalar mux reports differ";
   pf "# block == scalar (bitwise)\n";
-  if not default_mode then begin
-    (* Statistical gates for the approximate/relaxed variants: no
-       bitwise contract exists against the exact tier, so the gate is
-       the definition of those tiers — the synthesized background must
-       carry the model's dependence structure. Averaged sample ACF
-       (over fixed-seed paths) must track the model ACF at every lag
-       <= 100, and the variance-time Hurst estimate must agree with
-       the same estimator run on exact Davies-Harte paths (comparing
-       estimator-to-estimator cancels the VT estimator's own bias). *)
+  if kernel = `Fft then begin
+    (* Statistical gates for the fft kernel: no bitwise contract
+       exists against the exact tier, so the gate is the definition of
+       the tier — the synthesized background must carry the model's
+       dependence structure. Averaged sample ACF (over fixed-seed
+       paths) must track the model ACF at every lag <= 100, and the
+       variance-time Hurst estimate must agree with the same estimator
+       run on exact paths (comparing estimator-to-estimator cancels the
+       VT estimator's own bias). *)
     let h = 0.8 in
     let acf = Acf.fgn ~h in
     (* Per-path variance-time H carries ~0.04 std at this length, so
@@ -2105,44 +2057,20 @@ let throughput_smoke () =
        between an unbiased variant and the threshold. *)
     let gn = 16384 and paths = 24 in
     let rng = rng_for "tp-smoke-stat" in
-    (* Each variant is compared against the exact synthesis it stands
-       in for: the Paxson backend replaces Davies-Harte paths, the
-       relaxed and fft kernels replace the exact-tier Hosking kernel
-       (truncated AR(512) — a slightly different law than the exact
-       circulant, so a DH reference would show the truncation, not
-       the tier). *)
-    let hosking_gen mk_block =
+    (* The reference is the exact-tier Hosking kernel the fft kernel
+       replaces (truncated AR(512) — a slightly different law than the
+       exact circulant, so a Davies-Harte reference would show the
+       truncation, not the tier). *)
+    let hosking_gen ?fft_plan () =
       let table = Ss_mux.Source.table_for ~acf ~order:512 in
       fun r ->
-        let b = mk_block table in
+        let b = Hosking.Block.create ?fft_plan ~table ~order:512 () in
         let dst = Array.make gn 0.0 in
         Hosking.Block.fill b r dst ~off:0 ~len:gn;
         dst
     in
-    let exact_gen = hosking_gen (fun table -> Hosking.Block.create ~table ~order:512 ()) in
-    let dh_gen =
-      let plan = Ss_mux.Source.plan_for ~acf ~n:gn in
-      fun r -> DH.generate plan r
-    in
-    let gen_variant, gen_ref =
-      match backend with
-      | `Paxson ->
-        let plan = Paxson.plan ~acf ~n:gn in
-        ((fun r -> Paxson.generate plan r), dh_gen)
-      | `Hosking ->
-        let gen =
-          match kernel with
-          | `Exact -> exact_gen
-          | `Relaxed ->
-            hosking_gen (fun table -> Hosking.Block.create ~relaxed:true ~table ~order:512 ())
-          | `Fft ->
-            hosking_gen (fun table ->
-                Hosking.Block.create
-                  ~fft_plan:(Ss_mux.Source.fft_plan_for ~acf ~order:512)
-                  ~table ~order:512 ())
-        in
-        (gen, exact_gen)
-    in
+    let gen_variant = hosking_gen ~fft_plan:(Ss_mux.Source.fft_plan_for ~acf ~order:512) () in
+    let gen_ref = hosking_gen () in
     let acf_avg = Array.make 101 0.0 in
     let h_var = ref 0.0 and h_ref = ref 0.0 in
     for _ = 1 to paths do
@@ -2184,7 +2112,7 @@ let throughput_smoke () =
   let cfg backend =
     Is.make_config ~table ~arrival ~service ~buffer ~horizon ~twist:0.0 ~backend ()
   in
-  let plan = Ss_mux.Source.plan_for ~acf:(Model.background_acf m) ~n:horizon in
+  let plan = Ss_mux.Source.plan_for ~acf:(Model.background_acf m) ~n:horizon () in
   let rng = rng_for "tp-smoke-is" in
   let reps_each = 600 in
   let e_h = Is.estimate ?pool:(pool ()) (cfg `Hosking) ~replications:reps_each (Rng.split rng) in
@@ -2543,7 +2471,7 @@ let perf () =
   let open Bechamel in
   let rng = Rng.create ~seed:1 in
   let fgn_table = Hosking.Table.make ~acf:(Acf.fgn ~h:0.9) ~n:1024 in
-  let dh_plan = DH.plan ~acf:(Acf.fgn ~h:0.9) ~n:4096 in
+  let dh_plan = DH.plan ~acf:(Acf.fgn ~h:0.9) ~n:4096 () in
   let m = model () in
   let xs = Array.init 4096 (fun _ -> Rng.gaussian rng) in
   let arrivals = Array.init 4096 (fun _ -> abs_float (Rng.gaussian rng)) in
@@ -2702,36 +2630,17 @@ let check_json files =
     files;
   if !bad > 0 then exit 1
 
-(* Peel trailing `--backend B` / `--precision P` / `--kernel K`
-   smoke-variant selectors off the argument list (setting the smoke
-   refs), leaving the rest for the usual dispatch. *)
+(* Peel a trailing `--kernel K` smoke-variant selector off the
+   argument list (setting [smoke_kernel]), leaving the rest for the
+   usual dispatch. *)
 let rec peel_variant = function
-  | "--backend" :: v :: rest ->
-    (smoke_backend :=
-       match v with
-       | "hosking" -> `Hosking
-       | "paxson" -> `Paxson
-       | _ ->
-         prerr_endline ("bad --backend " ^ v ^ " (expected hosking or paxson)");
-         exit 1);
-    peel_variant rest
-  | "--precision" :: v :: rest ->
-    (smoke_precision :=
-       match v with
-       | "exact" -> `Exact
-       | "relaxed" -> `Relaxed
-       | _ ->
-         prerr_endline ("bad --precision " ^ v ^ " (expected exact or relaxed)");
-         exit 1);
-    peel_variant rest
   | "--kernel" :: v :: rest ->
     (smoke_kernel :=
        match v with
        | "exact" -> `Exact
-       | "relaxed" -> `Relaxed
        | "fft" -> `Fft
        | _ ->
-         prerr_endline ("bad --kernel " ^ v ^ " (expected exact, relaxed or fft)");
+         prerr_endline ("bad --kernel " ^ v ^ " (expected exact or fft)");
          exit 1);
     peel_variant rest
   | x :: rest -> x :: peel_variant rest
@@ -2769,7 +2678,6 @@ let () =
         exit 1)
     | _ ->
       prerr_endline
-        "usage: main.exe [experiment-id [--backend hosking|paxson] [--precision \
-         exact|relaxed] [--kernel exact|relaxed|fft] | --perf | --out DIR | --check-json \
-         FILE...]";
+        "usage: main.exe [experiment-id [--kernel exact|fft] | --perf | --out DIR | \
+         --check-json FILE...]";
       exit 1)

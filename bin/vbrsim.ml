@@ -73,70 +73,110 @@ let shards_arg =
 let backend_arg =
   let doc =
     "Background synthesis backend for model sources: $(b,hosking) streams the truncated \
-     Durbin-Levinson recursion (open-ended, O(order) memory); $(b,davies-harte) synthesizes \
-     the whole fixed horizon exactly at every lag in O(n log n) via circulant embedding; \
-     $(b,paxson) is the approximate half-size-circulant FFT sampler — about twice the \
-     davies-harte synthesis throughput, statistically (not bitwise) faithful. The \
-     materializing backends are incompatible with importance sampling ($(b,--is), nonzero \
-     $(b,--twist)), which needs per-step innovations."
+     Durbin-Levinson recursion (open-ended, O(order) memory); $(b,davies-harte) (or \
+     $(b,dh)) synthesizes the whole fixed horizon at every lag in O(n log n) by circulant \
+     embedding, and refuses a model whose embedding is not nonnegative definite at that \
+     horizon (in mux and abr, unless $(b,--allow-clipping)). Davies-Harte is incompatible \
+     with importance sampling ($(b,--is), nonzero $(b,--twist)), which needs per-step \
+     innovations."
   in
-  Arg.(
-    value & opt string "hosking" & info [ "backend" ] ~docv:"hosking|davies-harte|paxson" ~doc)
+  Arg.(value & opt string "hosking" & info [ "backend" ] ~docv:"hosking|davies-harte" ~doc)
 
+(* Backends and kernels are parsed inside [wrap], so a bad or removed
+   name exits 1 with a message naming the replacement, not with a
+   cmdliner usage error. *)
 let parse_backend = function
   | "hosking" -> `Hosking
   | "davies-harte" | "dh" -> `Davies_harte
-  | "paxson" -> `Paxson
-  | s ->
-    invalid_arg (Printf.sprintf "bad backend %S (expected hosking, davies-harte or paxson)" s)
+  | "paxson" ->
+    invalid_arg
+      "backend paxson was removed: it was Davies-Harte with clipping; use --backend \
+       davies-harte (in mux and abr, with --allow-clipping for a model that is not \
+       embeddable)"
+  | s -> invalid_arg (Printf.sprintf "bad backend %S (expected hosking or davies-harte)" s)
 
-let precision_arg =
-  let doc =
-    "Arithmetic tier for model sources: $(b,exact) (default) keeps sample paths bitwise \
-     reproducible against the committed fixtures; $(b,relaxed) swaps in the reassociated \
-     4-accumulator AR dot kernel and the erf-free normal CDF (absolute error < 7.5e-8) — \
-     faster, statistically equivalent, but seed-incompatible with the exact tier. Refused \
-     with $(b,--is): the likelihood accumulator replays exact-tier arithmetic."
-  in
-  Arg.(value & opt string "exact" & info [ "precision" ] ~docv:"exact|relaxed" ~doc)
-
-let parse_precision = function
-  | "exact" -> `Exact
-  | "relaxed" -> `Relaxed
-  | s -> invalid_arg (Printf.sprintf "bad precision %S (expected exact or relaxed)" s)
+(* The spelling checkpoint meta records, so runs started with [dh] and
+   [davies-harte] resume each other. *)
+let backend_name = function `Hosking -> "hosking" | `Davies_harte -> "davies-harte"
 
 let kernel_arg =
   let doc =
-    "Streaming-synthesis kernel for model sources — supersedes $(b,--precision) with a \
-     third tier: $(b,exact) and $(b,relaxed) are the two precision tiers; $(b,fft) runs \
-     the overlap-save FFT block kernel, computing the frozen AR filter's long-lag \
-     contribution spectrally per 128-slot block — amortized sublinear in $(b,--order) per \
-     slot, largest win at high orders. Like relaxed, fft is statistically gated but \
-     seed-incompatible with the exact tier. Refused with $(b,--is). When both flags are \
-     given they must agree."
+    "Streaming-synthesis kernel for model sources: $(b,exact) keeps sample paths bitwise \
+     reproducible against the committed fixtures; $(b,fft) runs the overlap-save FFT block \
+     kernel, computing the frozen AR filter's long-lag contribution spectrally per \
+     128-slot block — amortized sublinear in $(b,--order) per slot, largest win at high \
+     orders. fft reassociates the AR sums and uses an erf-free normal CDF (absolute error \
+     < 7.5e-8), so it is statistically gated but seed-incompatible with exact. Refused \
+     with $(b,--is)."
   in
-  Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"exact|relaxed|fft" ~doc)
+  Arg.(value & opt string "exact" & info [ "kernel" ] ~docv:"exact|fft" ~doc)
 
 let parse_kernel = function
   | "exact" -> `Exact
-  | "relaxed" -> `Relaxed
   | "fft" -> `Fft
-  | s -> invalid_arg (Printf.sprintf "bad kernel %S (expected exact, relaxed or fft)" s)
+  | "relaxed" ->
+    invalid_arg
+      "kernel relaxed was removed: use --kernel fft, which emits the same stream at --order \
+       <= 128 and is faster above it"
+  | s -> invalid_arg (Printf.sprintf "bad kernel %S (expected exact or fft)" s)
 
-(* CLI face of [Source.resolve_kernel]: --kernel supersedes
-   --precision, and a --precision that names a different tier is a
-   contradiction, not a preference. *)
-let resolve_kernel ~precision_s ~kernel_s : Ss_mux.Source.kernel =
-  match kernel_s with
-  | None -> (parse_precision precision_s :> Ss_mux.Source.kernel)
-  | Some ks ->
-    let k = parse_kernel ks in
-    (match parse_precision precision_s with
-    | `Relaxed when k <> `Relaxed ->
-      invalid_arg "--precision and --kernel disagree; pass just --kernel"
-    | _ -> k)
+let kernel_name = function `Exact -> "exact" | `Fft -> "fft"
 
-let kernel_name = function `Exact -> "exact" | `Relaxed -> "relaxed" | `Fft -> "fft"
+let allow_clipping_arg =
+  let doc =
+    "With $(b,--backend davies-harte): clip the negative circulant eigenvalues of a model \
+     that is not embeddable at this horizon instead of refusing it. The path then only \
+     approximates the model's autocorrelation; the covariance error is bounded by the \
+     clipped share of the spectral mass."
+  in
+  Arg.(value & flag & info [ "allow-clipping" ] ~doc)
+
+(* Model-source synthesis settings shared by mux and abr. *)
+type synthesis = {
+  backend : Ss_mux.Source.backend;
+  kernel : Ss_mux.Source.kernel;
+  allow_clipping : bool;
+}
+
+(* A thunk, forced inside [wrap] (see [parse_backend]). *)
+let synthesis_term =
+  let parse backend kernel allow_clipping () =
+    { backend = parse_backend backend; kernel = parse_kernel kernel; allow_clipping }
+  in
+  Term.(const parse $ backend_arg $ kernel_arg $ allow_clipping_arg)
+
+let faults_arg =
+  let doc =
+    "Fault-injection spec for the mux sources: semicolon-separated $(i,target:events) \
+     groups with target $(b,*) or a source index, events drift@START+RAMPxFACTOR, \
+     burst@RATE+LENxAMP, stall@START+LEN, dropout@RATE+LEN, corrupt@RATE, mean=V, \
+     sigma2=V, hurst=V. Example: '0:drift@10000+1000x4.0;*:corrupt@0.001'."
+  in
+  Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
+
+(* [sources] model sources for mux and abr: one [Rng.split] of [rng]
+   per source in index order, then one more for the fault wrapper —
+   the order every fixture and snapshot depends on. A Davies–Harte
+   background synthesizes exactly the simulated [slots]. Zero-fault
+   runs never enter the wrapper, so they stay bit-identical to the
+   pre-fault-injection code path. *)
+let build_sources syn ~order ~slots ~sources ~faults rng model =
+  let horizon = match syn.backend with `Hosking -> None | `Davies_harte -> Some slots in
+  let { backend; kernel; allow_clipping } = syn in
+  let mk i rng =
+    let name = Printf.sprintf "src%02d" i in
+    match model with
+    | `Model m ->
+      Ss_mux.Source.of_model ~name ~order ~backend ~kernel ~allow_clipping ?horizon m rng
+    | `Mpeg (m, priority) ->
+      Ss_mux.Source.of_mpeg ~name ~order ~backend ~kernel ~allow_clipping ?horizon
+        ~phase:(i mod Gop.length m.Mpeg.gop)
+        ~priority m rng
+  in
+  let srcs = Array.init sources (fun i -> mk i (Rng.split rng)) in
+  match faults with
+  | None -> srcs
+  | Some spec -> Ss_mux.Fault.wrap_all ~rng:(Rng.split rng) (Ss_mux.Fault.parse spec) srcs
 
 let csv_arg =
   let doc =
@@ -186,35 +226,32 @@ let wrap f =
 
 (* --- checkpoint/resume plumbing (mux and abr) --- *)
 
-let checkpoint_every_arg =
-  let doc =
-    "Snapshot the full simulation state every $(docv) slots (rounded up to the engine's \
-     staging block) into $(b,--checkpoint-file). Requires $(b,--checkpoint-file)."
-  in
-  Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"SLOTS" ~doc)
+type checkpointing = { every : int option; file : string option; resume : string option }
 
-let checkpoint_file_arg =
-  let doc =
-    "Checkpoint file path. Snapshots are published atomically (temp file + rename), so a \
-     crash mid-write never leaves a torn checkpoint."
+let checkpoint_term =
+  let every =
+    let doc =
+      "Snapshot the full simulation state every $(docv) slots (rounded up to the engine's \
+       staging block) into $(b,--checkpoint-file). Requires $(b,--checkpoint-file)."
+    in
+    Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"SLOTS" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "checkpoint-file" ] ~docv:"FILE" ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume from a checkpoint file written by $(b,--checkpoint-every). The run must be \
-     launched with the same parameters (trace, seed, sources, ...); the resumed run is \
-     bitwise identical to the uninterrupted one, at any $(b,--domains)/$(b,--shards)."
+  let file =
+    let doc =
+      "Checkpoint file path. Snapshots are published atomically (temp file + rename), so a \
+       crash mid-write never leaves a torn checkpoint."
+    in
+    Arg.(value & opt (some string) None & info [ "checkpoint-file" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
-
-let allow_clipping_arg =
-  let doc =
-    "Proceed even when the approximate Paxson backend clips more than 1% of its circulant \
-     spectrum mass for this model (the synthesis would be statistically distorted; refused \
-     by default)."
+  let resume =
+    let doc =
+      "Resume from a checkpoint file written by $(b,--checkpoint-every). The run must be \
+       launched with the same parameters (trace, seed, sources, ...); the resumed run is \
+       bitwise identical to the uninterrupted one, at any $(b,--domains)/$(b,--shards)."
+    in
+    Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & flag & info [ "allow-clipping" ] ~doc)
+  Term.(const (fun every file resume -> { every; file; resume }) $ every $ file $ resume)
 
 (* Checkpoint framing shared by mux and abr: the [meta] channel of the
    container carries a fingerprint of every run parameter the snapshot
@@ -223,24 +260,26 @@ let allow_clipping_arg =
    fingerprints shown — never a garbage restore. Shard/domain counts
    are deliberately NOT part of the fingerprint: snapshots are
    engine-layout independent. *)
-let checkpoint_plumbing ~kind ~meta ~checkpoint_every ~checkpoint_file ~resume ~save_extra
-    ~restore_extra =
-  let save =
-    match (checkpoint_every, checkpoint_file) with
+let checkpoint_plumbing ~kind ~meta ck ~save_extra ~restore_extra =
+  let checkpoint =
+    match (ck.every, ck.file) with
     | None, None -> None
     | Some every, Some path ->
       if every < 1 then invalid_arg "--checkpoint-every must be positive";
       Some
-        ( every,
-          fun fill ->
-            Ss_checkpoint.to_file ~path ~kind ~meta (fun w ->
-                save_extra w;
-                fill w) )
+        {
+          Ss_mux.Mux.every;
+          save =
+            (fun ~slot:_ fill ->
+              Ss_checkpoint.to_file ~path ~kind ~meta (fun w ->
+                  save_extra w;
+                  fill w));
+        }
     | Some _, None -> invalid_arg "--checkpoint-every requires --checkpoint-file"
     | None, Some _ -> invalid_arg "--checkpoint-file requires --checkpoint-every"
   in
   let resume_reader =
-    match resume with
+    match ck.resume with
     | None -> None
     | Some path ->
       let saved_meta, r = Ss_checkpoint.of_file ~path ~kind in
@@ -253,7 +292,7 @@ let checkpoint_plumbing ~kind ~meta ~checkpoint_every ~checkpoint_file ~resume ~
       restore_extra r;
       Some r
   in
-  (save, resume_reader)
+  (checkpoint, resume_reader)
 
 (* --- synth --- *)
 
@@ -546,15 +585,6 @@ let mux_cmd =
     let doc = "With $(b,--is): replication horizon in slots (default: 10 * buffer)." in
     Arg.(value & opt (some int) None & info [ "horizon"; "k" ] ~docv:"INT" ~doc)
   in
-  let faults_arg =
-    let doc =
-      "Fault-injection spec: semicolon-separated $(i,target:events) groups with target \
-       $(b,*) or a source index, events drift@START+RAMPxFACTOR, burst@RATE+LENxAMP, \
-       stall@START+LEN, dropout@RATE+LEN, corrupt@RATE, mean=V, sigma2=V, hurst=V. \
-       Example: '0:drift@10000+1000x4.0;*:corrupt@0.001'."
-    in
-    Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
-  in
   let police_arg =
     let doc =
       "Measurement-based policing of admitted sources: windowed mean/variance and a \
@@ -620,17 +650,14 @@ let mux_cmd =
       in
       print_estimate twist (Ss_mux.Mux_is.estimate ?pool (config ~twist) ~replications rng)
   in
-  let run path utilization sources slots order backend precision kernel buffer_norm epsilon
-      composite priority buffers csv seed max_lag domains shards is_mode twist horizon
-      replications faults police police_window checkpoint_every checkpoint_file resume
-      allow_clipping =
+  let run path utilization sources slots order synthesis buffer_norm epsilon composite priority
+      buffers csv seed max_lag domains shards is_mode twist horizon replications faults police
+      police_window ck =
     wrap (fun () ->
         if sources <= 0 then invalid_arg "sources must be positive";
         Pool.with_pool ~domains @@ fun pool ->
         if priority && not composite then invalid_arg "--priority requires --composite";
-        let backend_s = backend in
-        let backend = parse_backend backend in
-        let kernel = resolve_kernel ~precision_s:precision ~kernel_s:kernel in
+        let syn = synthesis () in
         let trace = Trace.load path in
         if is_mode then begin
           if composite then
@@ -639,23 +666,17 @@ let mux_cmd =
             invalid_arg "--faults/--police are incompatible with --is";
           if shards <> None then
             invalid_arg "--shards applies to the mux engine, not --is";
-          if checkpoint_every <> None || checkpoint_file <> None || resume <> None then
+          if ck.every <> None || ck.file <> None || ck.resume <> None then
             invalid_arg
               "--checkpoint-every/--checkpoint-file/--resume are incompatible with --is \
                (importance-sampled replications carry likelihood state outside the snapshot)";
-          (match kernel with
-          | `Exact -> ()
-          | `Relaxed ->
-            invalid_arg
-              "--precision relaxed is incompatible with --is (the likelihood accumulator \
-               replays exact-tier arithmetic)"
-          | `Fft ->
+          if syn.kernel = `Fft then
             invalid_arg
               "--kernel fft is incompatible with --is (the likelihood accumulator replays \
                the exact per-innovation recursion, which the blocked FFT kernel \
-               reassociates)");
-          run_is ~pool ~trace ~utilization ~sources ~order ~backend ~buffer_norm ~buffers
-            ~twist ~horizon ~replications ~seed ~max_lag
+               reassociates)";
+          run_is ~pool ~trace ~utilization ~sources ~order ~backend:syn.backend ~buffer_norm
+            ~buffers ~twist ~horizon ~replications ~seed ~max_lag
         end
         else begin
         if twist <> None || horizon <> None then
@@ -666,51 +687,18 @@ let mux_cmd =
              buffer=%s epsilon=%g composite=%b priority=%b buffers=%s csv=%b faults=%s \
              police=%b police-window=%d seed=%d max-lag=%d"
             (Digest.to_hex (Digest.file path))
-            utilization sources slots order backend_s (kernel_name kernel)
+            utilization sources slots order (backend_name syn.backend) (kernel_name syn.kernel)
             (match buffer_norm with None -> "unbounded" | Some b -> Printf.sprintf "%g" b)
             epsilon composite priority buffers (csv <> None)
             (match faults with None -> "-" | Some s -> s)
             police police_window seed max_lag
         in
         let rng = Rng.create ~seed in
-        (* The materializing backends synthesize a fixed-length path;
-           the simulation length is its natural horizon. *)
-        let horizon =
-          match backend with `Hosking -> None | `Davies_harte | `Paxson -> Some slots
+        let model =
+          if composite then `Mpeg (Mpeg.fit trace, priority)
+          else `Model (fst (Fit.fit ~max_lag trace.Trace.sizes))
         in
-        let mk, bg_acf =
-          if composite then begin
-            let m = Mpeg.fit trace in
-            ( (fun i ->
-                Ss_mux.Source.of_mpeg
-                  ~name:(Printf.sprintf "src%02d" i)
-                  ~order ~backend ~kernel ?horizon
-                  ~phase:(i mod Gop.length m.Mpeg.gop)
-                  ~priority m (Rng.split rng)),
-              m.Mpeg.background )
-          end
-          else begin
-            let model, _ = Fit.fit ~max_lag trace.Trace.sizes in
-            ( (fun i ->
-                Ss_mux.Source.of_model ~name:(Printf.sprintf "src%02d" i) ~order ~backend
-                  ~kernel ?horizon model (Rng.split rng)),
-              Model.background_acf model )
-          end
-        in
-        (match backend with
-        | `Paxson ->
-          ignore
-            (Ss_mux.Source.paxson_clipping_check ~acf:bg_acf ~n:slots ~allow:allow_clipping)
-        | `Hosking | `Davies_harte -> ());
-        let srcs = Array.init sources mk in
-        let srcs =
-          (* Zero-fault runs never enter the wrapper, so they stay
-             bit-identical to the pre-fault-injection code path. *)
-          match faults with
-          | None -> srcs
-          | Some spec ->
-            Ss_mux.Fault.wrap_all ~rng:(Rng.split rng) (Ss_mux.Fault.parse spec) srcs
-        in
+        let srcs = build_sources syn ~order ~slots ~sources ~faults rng model in
         let per_mean = srcs.(0).Ss_mux.Source.mean in
         let service = float_of_int sources *. per_mean /. utilization in
         let bs = parse_buffers buffers in
@@ -763,19 +751,12 @@ let mux_cmd =
                    ~slot_s:(1.0 /. trace.Trace.fps))
           in
           let trajectory = Option.map Ss_abr.Trajectory.sink capture in
-          let ck_save, ck_resume =
-            checkpoint_plumbing ~kind:"vbrsim-mux" ~meta ~checkpoint_every ~checkpoint_file
-              ~resume
+          let checkpoint, ck_resume =
+            checkpoint_plumbing ~kind:"vbrsim-mux" ~meta ck
               ~save_extra:(fun w ->
                 match capture with Some c -> Ss_abr.Trajectory.save c w | None -> ())
               ~restore_extra:(fun r ->
                 match capture with Some c -> Ss_abr.Trajectory.restore c r | None -> ())
-          in
-          let checkpoint =
-            Option.map
-              (fun (every, writer) ->
-                { Ss_mux.Mux.every; save = (fun ~slot:_ fill -> writer fill) })
-              ck_save
           in
           let report =
             Ss_mux.Mux.run ?pool ?shards ?police:policer ?trajectory ?checkpoint
@@ -817,12 +798,10 @@ let mux_cmd =
   Cmd.v (Cmd.info "mux" ~doc)
     Term.(
       const run $ trace_arg $ utilization_arg $ sources_arg $ slots_arg $ order_arg
-      $ backend_arg $ precision_arg $ kernel_arg $ buffer_arg $ epsilon_arg $ composite_arg
-      $ priority_arg
-      $ buffers_arg $ csv_arg $ seed_arg $ max_lag_arg $ domains_arg $ shards_arg $ is_arg
-      $ twist_arg $ horizon_arg $ replications_arg $ faults_arg $ police_arg
-      $ police_window_arg $ checkpoint_every_arg $ checkpoint_file_arg $ resume_arg
-      $ allow_clipping_arg)
+      $ synthesis_term $ buffer_arg $ epsilon_arg $ composite_arg $ priority_arg $ buffers_arg
+      $ csv_arg $ seed_arg $ max_lag_arg $ domains_arg $ shards_arg $ is_arg $ twist_arg
+      $ horizon_arg $ replications_arg $ faults_arg $ police_arg $ police_window_arg
+      $ checkpoint_term)
 
 (* --- abr --- *)
 
@@ -863,10 +842,6 @@ let abr_cmd =
     let doc = "Comma-separated bitrate-ladder level factors (strictly ascending)." in
     Arg.(value & opt string "0.3,0.55,1.0,1.8,3.0" & info [ "levels" ] ~docv:"LIST" ~doc)
   in
-  let faults_arg =
-    let doc = "Fault-injection spec for the mux sources (see $(b,vbrsim mux --faults))." in
-    Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
-  in
   let parse_policies s =
     String.split_on_char ',' s
     |> List.map String.trim
@@ -889,18 +864,15 @@ let abr_cmd =
            | Some l -> l
            | None -> invalid_arg (Printf.sprintf "bad ladder level %S" x))
   in
-  let run path utilization sources slots order backend precision kernel seed max_lag domains
-      clients chunks chunk_frames max_buffer policies levels faults checkpoint_every
-      checkpoint_file resume allow_clipping =
+  let run path utilization sources slots order synthesis seed max_lag domains clients chunks
+      chunk_frames max_buffer policies levels faults ck =
     wrap (fun () ->
         if sources <= 0 then invalid_arg "sources must be positive";
         let policies_s = policies in
         let policies = parse_policies policies in
         if policies = [] then invalid_arg "no policies given";
         Pool.with_pool ~domains @@ fun pool ->
-        let backend_s = backend in
-        let backend = parse_backend backend in
-        let kernel = resolve_kernel ~precision_s:precision ~kernel_s:kernel in
+        let syn = synthesis () in
         let trace = Trace.load path in
         let model, _ = Fit.fit ~max_lag trace.Trace.sizes in
         (* The fingerprint covers the mux phase only: the fleet phase
@@ -913,48 +885,23 @@ let abr_cmd =
              clients=%d chunks=%d chunk-frames=%d max-buffer=%g policies=%s levels=%s \
              faults=%s seed=%d max-lag=%d"
             (Digest.to_hex (Digest.file path))
-            utilization sources slots order backend_s (kernel_name kernel) clients chunks
+            utilization sources slots order (backend_name syn.backend) (kernel_name syn.kernel)
+            clients chunks
             chunk_frames
             max_buffer policies_s levels
             (match faults with None -> "-" | Some s -> s)
             seed max_lag
         in
         let rng = Rng.create ~seed in
-        let horizon =
-          match backend with `Hosking -> None | `Davies_harte | `Paxson -> Some slots
-        in
-        (match backend with
-        | `Paxson ->
-          ignore
-            (Ss_mux.Source.paxson_clipping_check ~acf:(Model.background_acf model) ~n:slots
-               ~allow:allow_clipping)
-        | `Hosking | `Davies_harte -> ());
-        let srcs =
-          Array.init sources (fun i ->
-              Ss_mux.Source.of_model ~name:(Printf.sprintf "src%02d" i) ~order ~backend
-                ~kernel ?horizon model (Rng.split rng))
-        in
-        let srcs =
-          match faults with
-          | None -> srcs
-          | Some spec ->
-            Ss_mux.Fault.wrap_all ~rng:(Rng.split rng) (Ss_mux.Fault.parse spec) srcs
-        in
+        let srcs = build_sources syn ~order ~slots ~sources ~faults rng (`Model model) in
         let per_mean = srcs.(0).Ss_mux.Source.mean in
         let service = float_of_int sources *. per_mean /. utilization in
         let slot_s = 1.0 /. trace.Trace.fps in
         let capture = Ss_abr.Trajectory.create ~slots ~sources ~slot_s in
-        let ck_save, ck_resume =
-          checkpoint_plumbing ~kind:"vbrsim-abr" ~meta ~checkpoint_every ~checkpoint_file
-            ~resume
+        let checkpoint, ck_resume =
+          checkpoint_plumbing ~kind:"vbrsim-abr" ~meta ck
             ~save_extra:(fun w -> Ss_abr.Trajectory.save capture w)
             ~restore_extra:(fun r -> Ss_abr.Trajectory.restore capture r)
-        in
-        let checkpoint =
-          Option.map
-            (fun (every, writer) ->
-              { Ss_mux.Mux.every; save = (fun ~slot:_ fill -> writer fill) })
-            ck_save
         in
         let report =
           Ss_mux.Mux.run ?pool ~trajectory:(Ss_abr.Trajectory.sink capture) ?checkpoint
@@ -1006,11 +953,9 @@ let abr_cmd =
   Cmd.v (Cmd.info "abr" ~doc)
     Term.(
       const run $ trace_arg $ utilization_arg $ sources_arg $ slots_arg $ order_arg
-      $ backend_arg $ precision_arg $ kernel_arg $ seed_arg $ max_lag_arg $ domains_arg
-      $ clients_arg
-      $ chunks_arg $ chunk_frames_arg $ max_buffer_arg $ policies_arg $ levels_arg
-      $ faults_arg $ checkpoint_every_arg $ checkpoint_file_arg $ resume_arg
-      $ allow_clipping_arg)
+      $ synthesis_term $ seed_arg $ max_lag_arg $ domains_arg $ clients_arg $ chunks_arg
+      $ chunk_frames_arg $ max_buffer_arg $ policies_arg $ levels_arg $ faults_arg
+      $ checkpoint_term)
 
 (* --- fastsim --- *)
 
@@ -1049,13 +994,7 @@ let fastsim_cmd =
           | `Hosking -> `Hosking
           | `Davies_harte ->
             `Davies_harte
-              (Ss_fractal.Davies_harte.plan ~acf:(Model.background_acf model) ~n:horizon)
-          | `Paxson ->
-            (* Plain-MC replication over an approximate synthesis would
-               bias the estimate; fastsim only replicates exact paths. *)
-            invalid_arg
-              "fastsim: backend paxson is approximate and cannot drive estimation; use \
-               hosking or davies-harte"
+              (Ss_fractal.Davies_harte.plan ~acf:(Model.background_acf model) ~n:horizon ())
         in
         let config ~twist =
           Is.make_config ~table ~arrival ~service ~buffer ~horizon ~twist ~backend ()

@@ -86,7 +86,7 @@ let refine ?(rounds = 4) ?(gain = 0.8) ?(paths = 4) ?(path_length = 32_768) mode
     invalid_arg "Fit.refine: target lags must lie in [1, path_length)";
   let measure m =
     (* Average sample ACF over independent paths to tame LRD noise. *)
-    match Ss_fractal.Davies_harte.plan ~acf:(Model.background_acf m) ~n:path_length with
+    match Ss_fractal.Davies_harte.plan ~acf:(Model.background_acf m) ~n:path_length () with
     | exception Invalid_argument _ -> None
     | plan ->
       let acc = Array.make (max_lag + 1) 0.0 in

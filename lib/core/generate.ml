@@ -7,28 +7,24 @@ type generator =
   | Hosking_table of Hosking.Table.t
   | Davies_harte
 
+(* Keyed on the background's structural fingerprint, not its name:
+   a compensated background is named after its target dependence
+   only, so models with different marginals share a name. *)
 let table_cache : (string * int, Hosking.Table.t) Hashtbl.t = Hashtbl.create 8
-let plan_cache : (string * int, Ss_fractal.Davies_harte.plan) Hashtbl.t = Hashtbl.create 8
+let plan_cache : (string * int, Davies_harte.plan) Hashtbl.t = Hashtbl.create 8
 
-let table model ~n =
+let cached cache model ~n build =
   let acf = Model.background_acf model in
-  let key = (acf.Ss_fractal.Acf.name, n) in
-  match Hashtbl.find_opt table_cache key with
-  | Some t -> t
+  let key = (Ss_fractal.Acf.fingerprint acf ~max_lag:n, n) in
+  match Hashtbl.find_opt cache key with
+  | Some v -> v
   | None ->
-    let t = Hosking.Table.make ~acf ~n in
-    Hashtbl.add table_cache key t;
-    t
+    let v = build acf in
+    Hashtbl.add cache key v;
+    v
 
-let dh_plan model ~n =
-  let acf = Model.background_acf model in
-  let key = (acf.Ss_fractal.Acf.name, n) in
-  match Hashtbl.find_opt plan_cache key with
-  | Some p -> p
-  | None ->
-    let p = Ss_fractal.Davies_harte.plan ~acf ~n in
-    Hashtbl.add plan_cache key p;
-    p
+let table model ~n = cached table_cache model ~n (fun acf -> Hosking.Table.make ~acf ~n)
+let dh_plan model ~n = cached plan_cache model ~n (fun acf -> Davies_harte.plan ~acf ~n ())
 
 let background model ~n gen rng =
   if n <= 0 then invalid_arg "Generate.background: n <= 0";
@@ -40,7 +36,7 @@ let background model ~n gen rng =
     let buf = Array.make n 0.0 in
     Hosking.generate_into t rng buf;
     buf
-  | Davies_harte -> Ss_fractal.Davies_harte.generate (dh_plan model ~n) rng
+  | Davies_harte -> Davies_harte.generate (dh_plan model ~n) rng
 
 let foreground model ~n gen rng =
   Transform.apply model.Model.transform (background model ~n gen rng)

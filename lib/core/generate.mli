@@ -23,9 +23,9 @@ val foreground : Model.t -> n:int -> generator -> Ss_stats.Rng.t -> float array
     the model's marginal and dependence. *)
 
 val table : Model.t -> n:int -> Ss_fractal.Hosking.Table.t
-(** Build (and cache, keyed by the background ACF name and length) a
-    Hosking table for this model — shared by the importance-sampling
-    experiments. *)
+(** Build (and cache, keyed by the background ACF's
+    {!Ss_fractal.Acf.fingerprint} and length) a Hosking table for this
+    model — shared by the importance-sampling experiments. *)
 
 val arrival_fn : Model.t -> Ss_fastsim.Is_estimator.arrival
 (** The per-slot foreground map for the importance sampler: ignores

@@ -60,7 +60,7 @@ let fit ?(i_max_lag = 80) trace =
   }
 
 let generate t ~n rng =
-  let plan = Davies_harte.plan ~acf:t.background ~n in
+  let plan = Davies_harte.plan ~acf:t.background ~n () in
   let x = Davies_harte.generate plan rng in
   Composite.apply t.composite x
 

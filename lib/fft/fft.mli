@@ -2,8 +2,8 @@
 
     Hand-rolled iterative Cooley–Tukey used by the Davies–Harte
     sampler (circulant embedding of the target autocovariance), the
-    Paxson approximate-FGN sampler, the periodogram Hurst estimator,
-    and the overlap-save streaming convolution kernel ({!Real}).
+    periodogram Hurst estimator, and the overlap-save streaming
+    convolution kernel ({!Real}).
     Sizes must be powers of two. *)
 
 val is_pow2 : int -> bool

@@ -120,3 +120,21 @@ let hurst t =
 let to_array t ~n =
   if n <= 0 then invalid_arg "Acf.to_array: n <= 0";
   Array.init n t.r
+
+(* A cache key for tables and plans built from [t]: its values on 64
+   lags spread evenly over [0, max_lag], not its display name — two
+   distinct models can share a name (a compensated background is
+   named after its target, not its marginal). A table or plan is
+   fully determined by [r] on lags 0..max_lag, so equal fingerprints
+   that still differed between the sampled lags could at worst share
+   the coefficients of a different model; 64 lags across the whole
+   range make that a measure-zero concern for the smooth ACF families
+   used here. *)
+let fingerprint t ~max_lag =
+  let samples = 64 in
+  let buf = Buffer.create (samples * 8) in
+  for i = 0 to samples - 1 do
+    let k = i * max_lag / (samples - 1) in
+    Buffer.add_int64_le buf (Int64.bits_of_float (t.r k))
+  done;
+  Digest.string (Buffer.contents buf)

@@ -67,3 +67,10 @@ val hurst : t -> float option
 val to_array : t -> n:int -> float array
 (** First [n] values [r 0 .. r (n-1)]. @raise Invalid_argument if
     [n <= 0]. *)
+
+val fingerprint : t -> max_lag:int -> string
+(** A structural cache key for tables and plans built from this
+    autocorrelation: a digest of [r] at 64 lags spread evenly over
+    [0, max_lag]. Unlike [name], it separates distinct models that
+    share a display name, such as the compensated backgrounds of two
+    models with the same target dependence and different marginals. *)

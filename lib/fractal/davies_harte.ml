@@ -4,11 +4,29 @@ module Fft = Ss_fft.Fft
 type plan = {
   n : int;  (* requested path length *)
   m : int;  (* half-size of the circulant, a power of two >= n *)
-  sqrt_lambda : float array;  (* sqrt of the 2m circulant eigenvalues *)
+  sqrt_lambda : float array;  (* sqrt of the 2m circulant eigenvalues, clipped at 0 *)
   min_eig : float;
+  neg_mass : float;  (* eigenvalue mass clipped to zero *)
+  pos_mass : float;
 }
 
-let plan ~acf ~n =
+(* The standard approximate-circulant criterion: clipping negative
+   eigenvalues to zero is harmless while the clipped mass is a
+   negligible fraction of the total — the covariance error of the
+   generated path is bounded by that ratio. *)
+let max_clipped_ratio = 1e-4
+
+let check_clipping ~acf p =
+  if p.neg_mass > max_clipped_ratio *. p.pos_mass then
+    invalid_arg
+      (Printf.sprintf
+         "Davies_harte.plan: the circulant embedding of ACF %s at n=%d is not nonnegative \
+          definite (min eigenvalue %g, clipped mass ratio %.3g > %g); clip it anyway with \
+          ~allow_clipping:true (vbrsim mux and abr: --allow-clipping), or use the hosking \
+          backend"
+         acf.Acf.name p.n p.min_eig (p.neg_mass /. p.pos_mass) max_clipped_ratio)
+
+let plan ?(allow_clipping = false) ~acf ~n () =
   if n <= 0 then invalid_arg "Davies_harte.plan: n <= 0";
   let m = Fft.next_pow2 n in
   let two_m = 2 * m in
@@ -22,24 +40,19 @@ let plan ~acf ~n =
     re.(j) <- acf.Acf.r (two_m - j)
   done;
   Fft.forward re im;
-  (* Eigenvalues are the (real) DFT of the symmetric first row. The
-     standard approximate-circulant criterion: clip negative
-     eigenvalues to zero provided the clipped mass is a negligible
-     fraction of the total — the covariance error of the generated
-     path is bounded by that ratio. *)
+  (* Eigenvalues are the (real) DFT of the symmetric first row. *)
   let min_eig = Array.fold_left Stdlib.min re.(0) re in
   let neg_mass = Array.fold_left (fun a l -> if l < 0.0 then a -. l else a) 0.0 re in
   let pos_mass = Array.fold_left (fun a l -> if l > 0.0 then a +. l else a) 0.0 re in
-  if neg_mass > 1e-4 *. pos_mass then
-    invalid_arg
-      (Printf.sprintf
-         "Davies_harte.plan: embedding fails (min eigenvalue %g, clipped mass ratio %.2g); autocorrelation not embeddable at n=%d"
-         min_eig (neg_mass /. pos_mass) n);
+  if not (pos_mass > 0.0) then invalid_arg "Davies_harte.plan: degenerate spectrum";
   let sqrt_lambda = Array.map (fun l -> sqrt (Stdlib.max l 0.0)) re in
-  { n; m; sqrt_lambda; min_eig }
+  let p = { n; m; sqrt_lambda; min_eig; neg_mass; pos_mass } in
+  if not allow_clipping then check_clipping ~acf p;
+  p
 
 let plan_length p = p.n
 let min_eigenvalue p = p.min_eig
+let clipped_ratio p = p.neg_mass /. p.pos_mass
 
 let generate_into p rng dst =
   if Array.length dst < p.n then

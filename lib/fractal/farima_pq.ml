@@ -98,7 +98,7 @@ let generate_filtered t ~n rng =
      prefix discarded to wash out the filter transient. *)
   let warmup = Stdlib.max 64 (4 * (p + q + 1)) in
   let total = n + warmup in
-  let plan = Davies_harte.plan ~acf:(Acf.farima ~d:t.d) ~n:total in
+  let plan = Davies_harte.plan ~acf:(Acf.farima ~d:t.d) ~n:total () in
   let y = Davies_harte.generate plan rng in
   let x = Array.make total 0.0 in
   for i = 0 to total - 1 do

@@ -88,7 +88,7 @@ let ar_dot row win ~top ~k =
    the compiler/CPU four parallel dependency chains, roughly doubling
    throughput on long rows — at the price of REASSOCIATING the sum,
    so the result differs from [ar_dot] in the last ulps and is only
-   eligible for the opt-in relaxed precision tier (never the default
+   eligible for the FFT kernel's sequential lags (never the exact
    paths, whose fixtures are bitwise). Same access pattern and
    contract as [ar_dot] otherwise. *)
 let ar_dot_relaxed row win ~top ~k =
@@ -228,8 +228,7 @@ end
      [k mod order] and [k mod order + order], so the last [order]
      values are always contiguous, ending at
      [((k-1) mod order) + order], and the window feeds [ar_dot]
-     directly. Bit-identical to the historical per-slot path (or its
-     relaxed-dot variant).
+     directly. Bit-identical to the historical per-slot path.
 
    - [Fft]: overlap-save over an {!Fft_plan} — the stream advances in
      blocks of [s] slots; the contribution of all lags > s to every
@@ -237,8 +236,8 @@ end
      accumulated partition spectra, and only lags <= s stay
      sequential, cutting the per-slot cost from O(order) to
      O(order/s + log s) + s amortized. Seed-incompatible with the
-     other kernels by design (the FFT reassociates the sums);
-     statistically gated. *)
+     exact kernel by design (the FFT and [ar_dot_relaxed] reassociate
+     the sums); statistically gated. *)
 module Block = struct
   type fft_state = {
     plan : Fft_plan.t;
@@ -291,7 +290,7 @@ module Block = struct
       sc
 
   type impl =
-    | Seq of { ring : float array; relaxed : bool }
+    | Seq of float array  (* the double-buffered ring *)
     | Fft_os of fft_state
 
   type t = {
@@ -306,13 +305,11 @@ module Block = struct
     if order < 1 || order >= Table.length table then
       invalid_arg (Printf.sprintf "Hosking.Block.%s: order outside [1, table length)" who)
 
-  let create ?(relaxed = false) ?fft_plan ~table ~order () =
+  let create ?fft_plan ~table ~order () =
     check_order ~who:"create" ~table ~order;
     let impl =
       match fft_plan with
-      | None -> Seq { ring = Array.make (2 * order) 0.0; relaxed }
-      | Some _ when relaxed ->
-          invalid_arg "Hosking.Block.create: relaxed and fft_plan are mutually exclusive"
+      | None -> Seq (Array.make (2 * order) 0.0)
       | Some plan ->
           if Fft_plan.order plan <> order then
             invalid_arg
@@ -341,7 +338,7 @@ module Block = struct
      write position [p = k mod order] is carried incrementally and
      the frozen AR row/std are hoisted, so the steady-state slot cost
      is the [ar_dot] chain plus three stores. *)
-  let fill_seq t ~ring ~relaxed rng buf ~off ~len =
+  let fill_seq t ring rng buf ~off ~len =
     if Array.length t.scratch < len then t.scratch <- Array.make len 0.0;
     let g = t.scratch in
     Rng.fill_gaussian rng g ~off:0 ~len;
@@ -358,14 +355,11 @@ module Block = struct
       let m =
         if kc >= order then
           let top = if pp = 0 then 2 * order else pp + order in
-          if relaxed then ar_dot_relaxed frozen_row ring ~top ~k:order
-          else ar_dot frozen_row ring ~top ~k:order
+          ar_dot frozen_row ring ~top ~k:order
         else if kc = 0 then 0.0
         else
           (* pre-steady-state: pp = kc, so the window top is kc + order *)
-          let row = Array.unsafe_get rows (kc - 1) in
-          if relaxed then ar_dot_relaxed row ring ~top:(pp + order) ~k:kc
-          else ar_dot row ring ~top:(pp + order) ~k:kc
+          ar_dot (Array.unsafe_get rows (kc - 1)) ring ~top:(pp + order) ~k:kc
       in
       let std = if kc >= order then frozen_std else Array.unsafe_get stds kc in
       let x = m +. (std *. Array.unsafe_get g i) in
@@ -482,7 +476,7 @@ module Block = struct
     if len < 0 || off < 0 || off + len > Array.length buf then
       invalid_arg "Hosking.Block.fill: range outside the buffer";
     match t.impl with
-    | Seq { ring; relaxed } -> fill_seq t ~ring ~relaxed rng buf ~off ~len
+    | Seq ring -> fill_seq t ring rng buf ~off ~len
     | Fft_os st -> fill_fft t st rng buf ~off ~len
 
   (* Checkpoint state is the window plus the position counters —
@@ -493,7 +487,7 @@ module Block = struct
   let save t w =
     let module W = Ss_checkpoint.W in
     match t.impl with
-    | Seq { ring; _ } ->
+    | Seq ring ->
         W.tag w "hosking-block";
         W.int w t.order;
         W.int w t.k;
@@ -532,7 +526,7 @@ module Block = struct
   let restore t r =
     let module R = Ss_checkpoint.R in
     match t.impl with
-    | Seq { ring; _ } ->
+    | Seq ring ->
         R.tag r "hosking-block";
         let order = R.int r in
         if order <> t.order then

@@ -97,34 +97,30 @@ module Block : sig
       {!generate_truncated} / [Source.background_stream] on the same
       generator state, bit for bit, at any block-size split. *)
 
-  val create :
-    ?relaxed:bool -> ?fft_plan:Fft_plan.t -> table:Table.t -> order:int -> unit -> t
+  val create : ?fft_plan:Fft_plan.t -> table:Table.t -> order:int -> unit -> t
   (** Fresh state over a shared coefficient table. O(order) resident
-      memory. With [relaxed:true] (default false) the conditional-mean
-      dot products run through {!ar_dot_relaxed} instead of {!ar_dot}:
-      roughly 2x faster on long rows but REASSOCIATED floating-point
-      summation, so the stream is only statistically — not bitwise —
-      equivalent to the exact tier (and seed-incompatible with its
-      fixtures).
+      memory.
 
-      With [fft_plan] (mutually exclusive with [relaxed]) the
-      generator runs the overlap-save FFT kernel instead: the stream
-      advances in blocks of [Fft_plan.partition] slots, the
-      contribution of every lag beyond the partition size to all
-      in-block positions is computed by one inverse real FFT over the
-      accumulated partition spectra, and only the first
-      [min(partition, order)] lags stay sequential — amortized
+      With [fft_plan] the generator runs the overlap-save FFT kernel
+      instead: the stream advances in blocks of [Fft_plan.partition]
+      slots, the contribution of every lag beyond the partition size
+      to all in-block positions is computed by one inverse real FFT
+      over the accumulated partition spectra, and only the first
+      [min(partition, order)] lags stay sequential, through
+      {!ar_dot_relaxed} — amortized
       O(order/partition + log partition + partition) per slot instead
-      of O(order). Statistically equivalent to the exact stream
-      (same innovation sequence per produced sample; the FFT merely
+      of O(order). Statistically equivalent to the exact stream (same
+      innovation sequence per produced sample; the kernel merely
       reassociates the conditional-mean sums), but seed-incompatible
-      with both other kernels, like the relaxed tier. The RNG
-      consumption pattern is blocked, so the stream for a given seed
-      is still independent of how callers batch their pulls.
+      with it. At [order <= partition] no lag reaches the FFT and the
+      stream is the exact recursion with every dot product
+      reassociated by {!ar_dot_relaxed}. The RNG consumption pattern
+      is blocked, so the stream for a given seed is still independent
+      of how callers batch their pulls.
       @raise Invalid_argument if [order] outside
       [1, Table.length table - 1] (the table must also hold the
-      frozen row/std at index [order]), if the plan's order differs,
-      or if both [relaxed] and [fft_plan] are given. *)
+      frozen row/std at index [order]) or if the plan's order
+      differs. *)
 
   val generated : t -> int
   (** Number of values produced so far. *)
@@ -161,8 +157,8 @@ val ar_dot_relaxed : float array -> float array -> top:int -> k:int -> float
 (** Fast-math variant of {!ar_dot}: four independent accumulators
     (reassociated sum, ~2x throughput on long rows), combined as
     [(s0+s2)+(s1+s3)] plus a left-to-right remainder. Differs from
-    {!ar_dot} in the last ulps; only the opt-in relaxed precision tier
-    may use it. *)
+    {!ar_dot} in the last ulps; only the FFT kernel's sequential lags
+    use it. *)
 
 val generate : Table.t -> Ss_stats.Rng.t -> float array
 (** Sample one path of the table's full length. *)

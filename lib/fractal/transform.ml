@@ -23,7 +23,7 @@ let make_with_cdf cdf dist =
 
 let make dist = make_with_cdf Special.normal_cdf dist
 
-(* The relaxed tier rebuilds [h] over the erf-free CDF; same clamp,
+(* The fft tier rebuilds [h] over the erf-free CDF; same clamp,
    same quantile, so outputs differ by at most ~7.5e-8 in probability
    before inversion. *)
 let relax t = make_with_cdf Special.normal_cdf_relaxed t.dist

@@ -22,12 +22,12 @@ val make : Ss_stats.Dist.t -> t
     inside the quantile's (0,1) domain. *)
 
 val relax : t -> t
-(** The relaxed-precision twin of a transform: the same clamp and
-    target quantile, but [Phi] evaluated by the erf-free
+(** The relaxed twin of a transform: the same clamp and target
+    quantile, but [Phi] evaluated by the erf-free
     {!Ss_stats.Special.normal_cdf_relaxed} (absolute error < 7.5e-8 in
-    probability). Opt-in fast tier only: outputs are statistically
-    indistinguishable from {!make}'s but not bitwise, so relaxed
-    fixtures are seed-incompatible with the exact tier's. *)
+    probability). The FFT kernel tier's transform: outputs are
+    statistically indistinguishable from {!make}'s but not bitwise,
+    so that tier is seed-incompatible with the exact one. *)
 
 val dist : t -> Ss_stats.Dist.t
 (** The target marginal. *)

@@ -25,35 +25,18 @@ let scaled_profile profile scale =
     | Some m -> Twist.constant (scale *. m)
     | None -> Twist.of_fun (fun k -> scale *. Twist.shift profile k)
 
-let make_config ~model ~sources ?(order = 256) ?(backend = `Hosking) ?(kernel = `Exact)
-    ~service ~buffer ~slots ~twist ?profile ?scales () =
-  (match (kernel : Source.kernel) with
-  | `Exact -> ()
-  | (`Relaxed | `Fft) as k ->
-    (* The twisted generator runs the scalar exact recursion so the
-       probe sees every innovation; the fast-math tiers reassociate
-       (or block) that arithmetic, which would silently decouple the
-       sampled path from the accumulated likelihood. *)
-    let name = match k with `Relaxed -> "`Relaxed" | `Fft -> "`Fft" in
-    invalid_arg
-      (Printf.sprintf
-         "Mux_is.make_config: kernel %s cannot drive importance sampling (likelihood \
-          accumulation certifies the exact per-innovation recursion); use the default \
-          `Exact kernel"
-         name));
+let make_config ~model ~sources ?(order = 256) ?(backend = `Hosking) ~service ~buffer ~slots
+    ~twist ?profile ?scales () =
   (match (backend : Source.backend) with
   | `Hosking -> ()
-  | (`Davies_harte | `Paxson) as b ->
+  | `Davies_harte ->
     (* The likelihood ratio is accumulated from the per-step Hosking
-       innovations; the materializing syntheses (exact Davies-Harte,
-       approximate Paxson) never produce them, so importance sampling
-       cannot run on them. *)
-    let name = match b with `Davies_harte -> "`Davies_harte" | `Paxson -> "`Paxson" in
+       innovations; a materialized Davies-Harte path never produces
+       them, so importance sampling cannot run on it. *)
     invalid_arg
-      (Printf.sprintf
-         "Mux_is.make_config: backend %s cannot drive importance sampling (the streaming \
-          likelihood needs per-step Hosking innovations); use the default `Hosking backend"
-         name));
+      "Mux_is.make_config: backend `Davies_harte cannot drive importance sampling (the \
+       streaming likelihood needs per-step Hosking innovations); use the default `Hosking \
+       backend");
   if sources <= 0 then invalid_arg "Mux_is.make_config: sources <= 0";
   if service <= 0.0 then invalid_arg "Mux_is.make_config: service <= 0";
   if buffer < 0.0 then invalid_arg "Mux_is.make_config: buffer < 0";

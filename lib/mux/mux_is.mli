@@ -50,7 +50,6 @@ val make_config :
   sources:int ->
   ?order:int ->
   ?backend:Source.backend ->
-  ?kernel:Source.kernel ->
   service:float ->
   buffer:float ->
   slots:int ->
@@ -61,16 +60,15 @@ val make_config :
   config
 (** Validate and precompute. [order] defaults to 256. When [profile]
     is given it overrides the constant [twist] (which then only
-    labels the config); [scales] defaults to all ones. [backend] and
-    [kernel] exist so callers that select a synthesis backend or a
-    fast-math kernel tier get a clear error here rather than a silent
-    behavior change: only the defaults [`Hosking] / [`Exact] are
-    accepted — the likelihood accumulator consumes the per-step
-    innovations of the exact scalar recursion, which neither the
-    materializing syntheses nor the reassociated [`Relaxed] / blocked
-    [`Fft] kernels produce.
-    @raise Invalid_argument on violated constraints (see field docs),
-    [backend:`Davies_harte]/[`Paxson], or a non-[`Exact] [kernel]. *)
+    labels the config); [scales] defaults to all ones. [backend]
+    exists so callers that select a synthesis backend get a clear
+    error here rather than a silent behavior change: only the default
+    [`Hosking] is accepted — the likelihood accumulator consumes the
+    per-step innovations of the exact scalar recursion, which a
+    materialized Davies–Harte path never produces. The twisted
+    sources always run the exact kernel.
+    @raise Invalid_argument on violated constraints (see field docs)
+    or [backend:`Davies_harte]. *)
 
 type replication = {
   hit : bool;  (** the shared queue crossed [buffer] within [slots] *)

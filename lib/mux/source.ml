@@ -2,7 +2,6 @@ module Rng = Ss_stats.Rng
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
 module Davies_harte = Ss_fractal.Davies_harte
-module Paxson = Ss_fractal.Paxson
 module Transform = Ss_fractal.Transform
 module Gop = Ss_video.Gop
 module Frame = Ss_video.Frame
@@ -26,24 +25,8 @@ type t = {
   ckpt : ckpt option;
 }
 
-type backend = [ `Hosking | `Davies_harte | `Paxson ]
-type precision = [ `Exact | `Relaxed ]
-type kernel = [ `Exact | `Relaxed | `Fft ]
-
-(* [?precision] predates [?kernel] (which supersedes it with the FFT
-   tier); both are accepted, but a call giving both must not silently
-   prefer one. *)
-let resolve_kernel ~who ~precision ~kernel =
-  match (precision, kernel) with
-  | None, None -> `Exact
-  | Some p, None -> (p :> kernel)
-  | None, Some k -> k
-  | Some p, Some k ->
-    if (p :> kernel) = k then k
-    else
-      invalid_arg
-        (who
-       ^ ": ~precision and ~kernel disagree; pass just ~kernel (it supersedes ~precision)")
+type backend = [ `Hosking | `Davies_harte ]
+type kernel = [ `Exact | `Fft ]
 
 (* Default block implementation over a scalar pull: one call per slot
    in slot order, so adapted sources consume their state (and their
@@ -155,27 +138,6 @@ let of_array ?(name = "array") ?(hurst = 0.5) ?(cycle = false) xs =
   in
   make ~pull_block ~ckpt ~name ~mean:(Ss_stats.Descriptive.mean xs)
     ~sigma2:(Ss_stats.Descriptive.variance xs) ~hurst pull
-
-(* One Hosking table (or Davies–Harte plan) per (background ACF,
-   order/length) — N same-model sources share the O(order^2)
-   coefficients.
-
-   The key is a structural fingerprint of the ACF — its values
-   sampled on a fixed lag grid — not the ACF's display name: two
-   distinct models that happen to share a name must not collide. The
-   table is fully determined by [r] on lags 0..order, so equal
-   fingerprints that still differed beyond the grid could at worst
-   share bit-identical-by-construction coefficients of a different
-   model; 64 sampled lags spread across the whole range make that a
-   measure-zero concern for the smooth ACF families used here. *)
-let fingerprint ~acf ~order =
-  let samples = 64 in
-  let buf = Buffer.create (samples * 8) in
-  for i = 0 to samples - 1 do
-    let k = i * order / (samples - 1) in
-    Buffer.add_int64_le buf (Int64.bits_of_float (acf.Acf.r k))
-  done;
-  Digest.string (Buffer.contents buf)
 
 (* Bounded LRU under a mutex, shared by the table and plan caches.
    Values are deterministic functions of the key, so eviction only
@@ -322,10 +284,13 @@ module Cache = struct
       winner
 end
 
+(* One Hosking table (or Davies–Harte plan) per (background ACF,
+   order/length) — N same-model sources share the O(order^2)
+   coefficients. The key is the ACF's structural {!Acf.fingerprint},
+   never its display name. *)
 let default_cache_capacity = 16
 let table_cache : Hosking.Table.t Cache.t = Cache.create default_cache_capacity
 let plan_cache : Davies_harte.plan Cache.t = Cache.create default_cache_capacity
-let paxson_plan_cache : Paxson.plan Cache.t = Cache.create default_cache_capacity
 let fft_plan_cache : Hosking.Fft_plan.t Cache.t = Cache.create default_cache_capacity
 let set_table_cache_capacity cap = Cache.set_capacity table_cache cap
 let table_cache_length () = Cache.length table_cache
@@ -336,7 +301,6 @@ let cache_stats () =
   [
     ("hosking-table", Cache.stats table_cache);
     ("davies-harte-plan", Cache.stats plan_cache);
-    ("paxson-plan", Cache.stats paxson_plan_cache);
     ("hosking-fft-plan", Cache.stats fft_plan_cache);
   ]
 
@@ -344,26 +308,28 @@ let table_for ~acf ~order =
   if order < 1 || order > 19_999 then
     invalid_arg "Source.table_for: order outside [1, 19999]";
   Cache.find_or_build table_cache
-    (fingerprint ~acf ~order, order)
+    (Acf.fingerprint acf ~max_lag:order, order)
     (fun () -> Hosking.Table.make ~acf ~n:(order + 1))
 
-let plan_for ~acf ~n =
+(* The cache holds clipped plans and re-applies the embeddability
+   refusal on every strict request, so one entry serves both kinds of
+   request and a strict request after a permissive one still
+   refuses. *)
+let plan_for ?(allow_clipping = false) ~acf ~n () =
   if n < 1 then invalid_arg "Source.plan_for: n < 1";
-  Cache.find_or_build plan_cache
-    (fingerprint ~acf ~order:n, n)
-    (fun () -> Davies_harte.plan ~acf ~n)
-
-let paxson_plan_for ~acf ~n =
-  if n < 1 then invalid_arg "Source.paxson_plan_for: n < 1";
-  Cache.find_or_build paxson_plan_cache
-    (fingerprint ~acf ~order:n, n)
-    (fun () -> Paxson.plan ~acf ~n)
+  let plan =
+    Cache.find_or_build plan_cache
+      (Acf.fingerprint acf ~max_lag:n, n)
+      (fun () -> Davies_harte.plan ~allow_clipping:true ~acf ~n ())
+  in
+  if not allow_clipping then Davies_harte.check_clipping ~acf plan;
+  plan
 
 let fft_plan_for ~acf ~order =
   if order < 1 || order > 19_999 then
     invalid_arg "Source.fft_plan_for: order outside [1, 19999]";
   Cache.find_or_build fft_plan_cache
-    (fingerprint ~acf ~order, order)
+    (Acf.fingerprint acf ~max_lag:order, order)
     (* The plan is a pure function of (ACF, order): the table lookup
        below hits (or populates) the table cache, and the partition
        spectra derived from any bit-identical re-fit are themselves
@@ -414,13 +380,12 @@ let check_horizon who horizon =
 (* Background block filler: [fill buf off len] appends up to [len]
    fresh background values, returning the count (short only once a
    finite horizon is exhausted). The Hosking backend streams through
-   the cache-blocked ring kernel (relaxed dot kernel when the source
-   runs the fast-math tier, overlap-save FFT kernel under [`Fft]); the
-   Davies–Harte and Paxson backends materialize the whole
-   fixed-horizon path (exactly resp. approximately, both O(n log n))
-   on first use and replay it — the kernel choice only governs the
-   streaming Hosking recursion, so it is ignored there. *)
-let bg_filler ~who ~acf ~order ~backend ~horizon ~kernel rng =
+   the cache-blocked ring kernel (overlap-save FFT kernel under
+   [`Fft]); the Davies–Harte backend materializes the whole
+   fixed-horizon path in O(n log n) on first use and replays it — the
+   kernel choice only governs the streaming Hosking recursion, so it
+   is ignored there. *)
+let bg_filler ~who ~acf ~order ~backend ~allow_clipping ~horizon ~kernel rng =
   let materialized n generate =
     if order < 1 || order > 19_999 then invalid_arg (who ^ ": order outside [1, 19999]");
     (* Deferred so construction consumes no randomness — like the
@@ -471,23 +436,12 @@ let bg_filler ~who ~acf ~order ~backend ~horizon ~kernel rng =
     in
     (fill, ckpt)
   in
-  let require_horizon backend_name =
-    match horizon with
-    | Some h -> h
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: backend %s synthesizes a fixed-length path; pass ~horizon (or use `Hosking \
-            for open-ended streaming)"
-           who backend_name)
-  in
   match backend with
   | `Hosking ->
     let table = table_for ~acf ~order in
     let blk =
       match kernel with
       | `Exact -> Hosking.Block.create ~table ~order ()
-      | `Relaxed -> Hosking.Block.create ~relaxed:true ~table ~order ()
       | `Fft -> Hosking.Block.create ~fft_plan:(fft_plan_for ~acf ~order) ~table ~order ()
     in
     let remaining = ref (match horizon with None -> max_int | Some h -> h) in
@@ -515,31 +469,17 @@ let bg_filler ~who ~acf ~order ~backend ~horizon ~kernel rng =
     in
     (fill, ckpt)
   | `Davies_harte ->
-    let n = require_horizon "`Davies_harte" in
-    let plan = plan_for ~acf ~n in
+    let n =
+      match horizon with
+      | Some h -> h
+      | None ->
+        invalid_arg
+          (who
+         ^ ": backend `Davies_harte synthesizes a fixed-length path; pass ~horizon (or use \
+            `Hosking for open-ended streaming)")
+    in
+    let plan = plan_for ~allow_clipping ~acf ~n () in
     materialized n (Davies_harte.generate plan)
-  | `Paxson ->
-    let n = require_horizon "`Paxson" in
-    let plan = paxson_plan_for ~acf ~n in
-    materialized n (Paxson.generate plan)
-
-(* Clipping gate for the approximate Paxson backend: the plan never
-   refuses (clipping negative circulant eigenvalues is its design
-   trade), but silently distorting more than 1% of the spectral mass
-   is a correctness hazard at the CLI boundary. Returns the ratio so
-   callers can report it. *)
-let paxson_clipping_check ~acf ~n ~allow =
-  let plan = paxson_plan_for ~acf ~n in
-  let ratio = Paxson.clipped_ratio plan in
-  if ratio > 0.01 && not allow then
-    invalid_arg
-      (Printf.sprintf
-         "Source.paxson_clipping_check: the Paxson backend clipped %.2f%% of the circulant \
-          spectral mass for ACF %s at n=%d (limit 1%%) — the synthesized correlation \
-          structure would be distorted; pass --allow-clipping to proceed anyway, or use \
-          --backend davies-harte (exact, refuses non-embeddable ACFs) or --backend hosking"
-         (100.0 *. ratio) acf.Acf.name n);
-  ratio
 
 let of_model_gen ~name ~order ~shift ~probe model rng =
   let acf = Model.background_acf model in
@@ -555,19 +495,20 @@ let of_model_gen ~name ~order ~shift ~probe model rng =
   in
   make ~name ~mean:model.Model.mean ~sigma2 ~hurst:model.Model.hurst pull
 
-let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?precision ?kernel
-    ?horizon model rng =
+let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Exact)
+    ?(allow_clipping = false) ?horizon model rng =
   check_horizon "Source.of_model" horizon;
-  let kernel = resolve_kernel ~who:"Source.of_model" ~precision ~kernel in
   let acf = Model.background_acf model in
   let fill_bg, bg_ckpt =
-    bg_filler ~who:"Source.of_model" ~acf ~order ~backend ~horizon ~kernel rng
+    bg_filler ~who:"Source.of_model" ~acf ~order ~backend ~allow_clipping ~horizon ~kernel rng
   in
   (* The FFT kernel is already seed-incompatible with the exact tier,
      so it rides the relaxed marginal transform for the same per-slot
      speed; only [`Exact] keeps the erf-backed CDF. *)
   let h =
-    if kernel = `Exact then model.Model.transform else Transform.relax model.Model.transform
+    match kernel with
+    | `Exact -> model.Model.transform
+    | `Fft -> Transform.relax model.Model.transform
   in
   let _, sigma2 = Transform.moments h in
   (* Same per-slot arithmetic as the scalar path: transform, then the
@@ -598,16 +539,14 @@ let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?precision ?
 let of_model_twisted ?(name = "model-is") ?(order = 512) ~shift ?probe model rng =
   of_model_gen ~name ~order ~shift:(Some shift) ~probe model rng
 
-let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?precision ?kernel
-    ?horizon ?(phase = 0) ?(priority = false) m rng =
+let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Exact)
+    ?(allow_clipping = false) ?horizon ?(phase = 0) ?(priority = false) m rng =
   if phase < 0 then invalid_arg "Source.of_mpeg: phase < 0";
   check_horizon "Source.of_mpeg" horizon;
-  let kernel = resolve_kernel ~who:"Source.of_mpeg" ~precision ~kernel in
-  let relaxed = kernel <> `Exact in
   let gop = m.Mpeg.gop in
   let fill_bg, bg_ckpt =
-    bg_filler ~who:"Source.of_mpeg" ~acf:m.Mpeg.background ~order ~backend ~horizon ~kernel
-      rng
+    bg_filler ~who:"Source.of_mpeg" ~acf:m.Mpeg.background ~order ~backend ~allow_clipping
+      ~horizon ~kernel rng
   in
   let klass kind =
     if not priority then 0
@@ -615,15 +554,15 @@ let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?precision ?ke
   in
   let transform =
     let exact kind = Ss_video.Composite.transform m.Mpeg.composite kind in
-    if not relaxed then exact
-    else begin
+    match kernel with
+    | `Exact -> exact
+    | `Fft ->
       (* Relax each per-kind transform once up front — [transform] is
          called per slot in the block loop. *)
       let ti = Transform.relax (exact Frame.I) in
       let tp = Transform.relax (exact Frame.P) in
       let tb = Transform.relax (exact Frame.B) in
       function Frame.I -> ti | Frame.P -> tp | Frame.B -> tb
-    end
   in
   (* GOP-pattern-averaged per-slot moments: the process is
      cyclostationary, so average E[h_k] and E[h_k^2] over one

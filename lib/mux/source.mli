@@ -57,50 +57,40 @@ type t = {
           provide it. *)
 }
 
-type backend = [ `Hosking | `Davies_harte | `Paxson ]
+type backend = [ `Hosking | `Davies_harte ]
 (** Background-synthesis backend for model sources. [`Hosking]
     (default) streams the truncated Durbin–Levinson recursion —
     open-ended, O(order) memory, exact to lag [order]. [`Davies_harte]
     materializes the whole fixed-[horizon] background path exactly
     (every lag, not just the first [order]) in O(horizon log horizon)
     via circulant embedding; it requires [~horizon] and the source
-    departs cleanly when the horizon is exhausted. [`Paxson] is the
-    approximate half-size-circulant FFT sampler
-    ({!Ss_fractal.Paxson}): the same fixed-[horizon] contract as
-    [`Davies_harte] at roughly twice its synthesis throughput, but
-    only statistically faithful (gated on sample ACF and
-    variance–time Hurst, never bitwise) — meant for bulk background
-    traffic. Both materializing backends are refused by
-    {!Mux_is.make_config}: approximate or not, they produce no
-    per-step innovations for the streaming likelihood. *)
+    departs cleanly when the horizon is exhausted. A background whose
+    embedding is not nonnegative definite at that horizon is refused
+    unless [~allow_clipping:true], which clips the negative circulant
+    eigenvalues and makes the path only statistically faithful (see
+    {!Ss_fractal.Davies_harte.plan}). {!Mux_is.make_config} refuses
+    [`Davies_harte]: a materialized path has no per-step innovations
+    for the streaming likelihood. *)
 
-type precision = [ `Exact | `Relaxed ]
-(** Arithmetic tier for model sources. [`Exact] (default) keeps every
-    committed fixture bitwise: single-accumulator AR dot kernel,
-    erf-backed [normal_cdf]. [`Relaxed] swaps in the 4-accumulator
-    reassociated dot kernel ({!Ss_fractal.Hosking.ar_dot_relaxed})
-    and the erf-free CDF ({!Ss_stats.Special.normal_cdf_relaxed},
-    absolute error < 7.5e-8) — measurably faster, statistically
-    equivalent, but NOT bit-compatible: relaxed runs have their own
-    fixture set and the same seed produces different (equally valid)
-    sample paths than the exact tier. *)
-
-type kernel = [ `Exact | `Relaxed | `Fft ]
-(** Streaming-synthesis kernel for model sources — supersedes
-    {!precision} with a third tier. [`Exact] and [`Relaxed] are the
-    two {!precision} tiers. [`Fft] runs the overlap-save FFT block
-    kernel ({!Ss_fractal.Hosking.Fft_plan}): the frozen AR filter's
-    contribution beyond the first partition of lags is computed
-    spectrally per block of {!Ss_fractal.Hosking.Fft_plan.partition}
-    slots, breaking the O(order)-per-slot ceiling — amortized
-    O(order/partition + log partition + partition) per slot. Like
-    [`Relaxed] it is statistically equivalent to (and gated against)
-    the exact tier but seed-incompatible with it, and it uses the
-    relaxed marginal transform. Only the streaming [`Hosking] backend
-    is affected; materializing backends ignore the kernel for the
-    background (the relaxed transform choice still applies). Refused
-    by {!Mux_is.make_config} for non-[`Exact] values: importance
-    sampling certifies likelihoods against the exact fixture tier. *)
+type kernel = [ `Exact | `Fft ]
+(** Streaming-synthesis kernel for model sources. [`Exact] (default)
+    keeps every committed fixture bitwise: single-accumulator AR dot
+    kernel, erf-backed [normal_cdf]. [`Fft] runs the overlap-save FFT
+    block kernel ({!Ss_fractal.Hosking.Fft_plan}): the frozen AR
+    filter's contribution beyond the first partition of lags is
+    computed spectrally per block of
+    {!Ss_fractal.Hosking.Fft_plan.partition} slots, breaking the
+    O(order)-per-slot ceiling — amortized
+    O(order/partition + log partition + partition) per slot. Its
+    sequential lags run the reassociated
+    {!Ss_fractal.Hosking.ar_dot_relaxed} and its marginal transform
+    the erf-free {!Ss_fractal.Transform.relax}, so it is statistically
+    equivalent to (and gated against) the exact tier but
+    seed-incompatible with it. Only the streaming [`Hosking] backend
+    is affected; a [`Davies_harte] background ignores the kernel (the
+    relaxed transform still applies). Importance sampling
+    ({!Mux_is}) always runs the exact kernel: its likelihoods certify
+    the exact per-innovation recursion. *)
 
 val make :
   ?pull_block:(float array -> int array -> int -> int -> int) ->
@@ -157,8 +147,8 @@ val of_model :
   ?name:string ->
   ?order:int ->
   ?backend:backend ->
-  ?precision:precision ->
   ?kernel:kernel ->
+  ?allow_clipping:bool ->
   ?horizon:int ->
   Ss_core.Model.t ->
   Ss_stats.Rng.t ->
@@ -174,20 +164,15 @@ val of_model :
     slightly negative in the far tail; {!Mux.run} rejects negative
     work).
 
-    With [backend:`Davies_harte] ([`Paxson]) the background is
-    synthesized exactly (approximately) over the whole (mandatory)
-    [horizon] by circulant embedding — see {!backend}. With a
-    [horizon] under the default [`Hosking] backend the source simply
-    departs after that many slots. [precision:`Relaxed] swaps in the
-    fast-math tier — see {!precision}; it only affects the Hosking
-    kernel and the marginal transform, so it composes with every
-    backend. [kernel] (see {!kernel}) supersedes [precision] with the
-    additional [`Fft] overlap-save tier; when both are given they must
-    agree. Default (neither given): [`Exact].
+    With [backend:`Davies_harte] the background is synthesized over
+    the whole (mandatory) [horizon] by circulant embedding, clipped
+    only under [allow_clipping] (default false) — see {!backend}.
+    With a [horizon] under the default [`Hosking] backend the source
+    simply departs after that many slots. [kernel] (default [`Exact])
+    selects the streaming kernel — see {!kernel}.
     @raise Invalid_argument if [order < 1] or [order > 19_999], if
-    [horizon < 1], if a materializing backend ([`Davies_harte],
-    [`Paxson]) is requested without [horizon], or if [precision] and
-    [kernel] disagree. *)
+    [horizon < 1], if [`Davies_harte] is requested without [horizon],
+    or if its embedding is refused (see {!plan_for}). *)
 
 val of_model_twisted :
   ?name:string ->
@@ -216,8 +201,8 @@ val of_mpeg :
   ?name:string ->
   ?order:int ->
   ?backend:backend ->
-  ?precision:precision ->
   ?kernel:kernel ->
+  ?allow_clipping:bool ->
   ?horizon:int ->
   ?phase:int ->
   ?priority:bool ->
@@ -230,12 +215,13 @@ val of_mpeg :
     (default 0) staggers GOP alignment across sources. With
     [priority:true], I frames are class 0, P class 1, B class 2;
     otherwise every slot is class 0. [mean]/[sigma2] are the
-    GOP-pattern-averaged per-slot moments. [backend]/[precision]/
-    [kernel]/[horizon] govern the background synthesis exactly as in
-    {!of_model} (under [`Relaxed] and [`Fft] the three per-kind
+    GOP-pattern-averaged per-slot moments. [backend]/[kernel]/
+    [allow_clipping]/[horizon] govern the background synthesis
+    exactly as in {!of_model} (under [`Fft] the three per-kind
     transforms are relaxed once up front, not per slot).
     @raise Invalid_argument if [phase < 0], [order] out of range,
-    [horizon < 1], or a materializing backend without [horizon]. *)
+    [horizon < 1], [`Davies_harte] without [horizon], or a refused
+    embedding. *)
 
 val background_stream :
   acf:Ss_fractal.Acf.t -> order:int -> Ss_stats.Rng.t -> unit -> float
@@ -269,17 +255,17 @@ val table_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Table.t
     return one shared, physically equal table.
     @raise Invalid_argument if [order < 1] or [order > 19_999]. *)
 
-val plan_for : acf:Ss_fractal.Acf.t -> n:int -> Ss_fractal.Davies_harte.plan
+val plan_for :
+  ?allow_clipping:bool -> acf:Ss_fractal.Acf.t -> n:int -> unit -> Ss_fractal.Davies_harte.plan
 (** The cached Davies–Harte plan backing [`Davies_harte] model
-    sources at this (ACF, horizon) pair.
-    @raise Invalid_argument if [n < 1] or the ACF is not embeddable
-    at this length (see {!Ss_fractal.Davies_harte.plan}). *)
-
-val paxson_plan_for : acf:Ss_fractal.Acf.t -> n:int -> Ss_fractal.Paxson.plan
-(** The cached Paxson plan backing [`Paxson] model sources at this
-    (ACF, horizon) pair — same cache discipline as {!plan_for}.
-    @raise Invalid_argument if [n < 1] (Paxson plans never refuse on
-    eigenvalue clipping; see {!Ss_fractal.Paxson.clipped_ratio}). *)
+    sources at this (ACF, horizon) pair. One cache entry serves both
+    kinds of request: it holds the clipped plan, and every request
+    without [allow_clipping] (default false) re-applies
+    {!Ss_fractal.Davies_harte.check_clipping}, so a strict request
+    refuses even after a permissive one cached the plan.
+    @raise Invalid_argument if [n < 1], the spectrum is degenerate,
+    or — without [allow_clipping] — the ACF is not embeddable at this
+    length. *)
 
 val fft_plan_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Fft_plan.t
 (** The cached overlap-save convolution plan backing [`Fft]-kernel
@@ -288,15 +274,6 @@ val fft_plan_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Fft_p
     cold plan lookup may also populate the table cache). Plans are
     immutable and shared freely across sources and domains.
     @raise Invalid_argument if [order < 1] or [order > 19_999]. *)
-
-val paxson_clipping_check : acf:Ss_fractal.Acf.t -> n:int -> allow:bool -> float
-(** Gate on the Paxson backend's silent eigenvalue clipping: plans
-    the (cached) Paxson synthesis and returns
-    {!Ss_fractal.Paxson.clipped_ratio}. When the ratio exceeds 0.01
-    and [allow] is false, refuses with a message naming the ACF, the
-    ratio, and the [--allow-clipping] escape hatch — the CLI calls
-    this before building [`Paxson] sources.
-    @raise Invalid_argument on refusal or if [n < 1]. *)
 
 val set_table_cache_capacity : int -> unit
 (** Bound on the number of Hosking tables retained by the process
@@ -318,7 +295,6 @@ type cache_stats = { hits : int; misses : int; evictions : int }
 
 val cache_stats : unit -> (string * cache_stats) list
 (** Counters for every process-wide plan/table cache, keyed
-    ["hosking-table"], ["davies-harte-plan"], ["paxson-plan"],
-    ["hosking-fft-plan"]. Counters are monotone for the process
+    ["hosking-table"], ["davies-harte-plan"], ["hosking-fft-plan"]. Counters are monotone for the process
     lifetime — diff two snapshots to measure a phase (the throughput
     bench prints exactly that). *)

@@ -181,7 +181,7 @@ let normal_cdf x = 0.5 *. erfc (-.x /. sqrt_2)
    polynomial in t = 1/(1 + 0.2316419 |x|) times the normal density,
    |error| < 7.5e-8 absolute on the whole real line. One exp and five
    multiply-adds, versus the series/continued-fraction loops behind
-   [erfc] — this is the relaxed-tier hot-path CDF for the marginal
+   [erfc] — this is the fft tier's hot-path CDF for the marginal
    transform, where 1e-7 absolute error in the probability is far
    below the statistical gates' resolution. *)
 let normal_cdf_relaxed x =

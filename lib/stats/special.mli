@@ -44,9 +44,8 @@ val normal_cdf : float -> float
 val normal_cdf_relaxed : float -> float
 (** Fast approximate [Phi(x)]: Abramowitz & Stegun 26.2.17 (erf-free,
     one [exp] plus a degree-5 polynomial), absolute error below
-    [7.5e-8] everywhere. The relaxed precision tier's hot-path CDF;
-    default paths keep {!normal_cdf} so committed fixtures stay
-    bitwise. *)
+    [7.5e-8] everywhere. The FFT kernel tier's hot-path CDF; exact
+    paths keep {!normal_cdf} so committed fixtures stay bitwise. *)
 
 val normal_pdf : float -> float
 (** Standard normal density [phi(x)]. *)

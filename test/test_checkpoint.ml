@@ -4,8 +4,8 @@
    generators, every source backend, fault wrappers), and the
    end-to-end contract — a resumed multiplexer or ABR run is bitwise
    identical to the uninterrupted one at any shard/domain count —
-   plus the Paxson clipping gate and the fault-spec parser's
-   boundary validation that ride in the same PR. *)
+   plus the Davies-Harte clipping gate and the fault-spec parser's
+   boundary validation. *)
 
 module Ck = Ss_checkpoint
 module W = Ss_checkpoint.W
@@ -14,6 +14,7 @@ module Rng = Ss_stats.Rng
 module Online = Ss_stats.Online_stats
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
+module DH = Ss_fractal.Davies_harte
 module Scene = Ss_video.Scene_source
 module Gop = Ss_video.Gop
 module Trace = Ss_video.Trace
@@ -393,9 +394,9 @@ let test_source_roundtrips () =
   source_roundtrip "of_model davies-harte" (fun () ->
       Source.of_model ~name:"dh" ~order:48 ~backend:`Davies_harte ~horizon:400 m
         (Rng.create ~seed:22));
-  source_roundtrip "of_model paxson" (fun () ->
-      Source.of_model ~name:"px" ~order:48 ~backend:`Paxson ~horizon:400 m
-        (Rng.create ~seed:23));
+  source_roundtrip "of_model davies-harte clipping" (fun () ->
+      Source.of_model ~name:"px" ~order:48 ~backend:`Davies_harte ~allow_clipping:true
+        ~horizon:400 m (Rng.create ~seed:23));
   source_roundtrip "of_mpeg priority" (fun () ->
       Source.of_mpeg ~name:"mp" ~order:48 ~priority:true (Lazy.force small_mpeg)
         (Rng.create ~seed:24));
@@ -453,30 +454,29 @@ let prop_source_snapshot_continuation =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Paxson clipping gate                                                 *)
+(* Davies-Harte clipping gate (the former Paxson backend's gate)        *)
 (* ------------------------------------------------------------------ *)
 
 let test_paxson_clipping_gate () =
-  (* FGN-family ACFs embed cleanly: the gate must wave them through
-     with a ratio at (or near) zero. *)
-  let r = Source.paxson_clipping_check ~acf:(Acf.fgn ~h:0.8) ~n:2048 ~allow:false in
-  if r > 0.01 then Alcotest.failf "fgn clipped ratio %g above threshold" r;
+  (* FGN-family ACFs embed cleanly: a strict request goes through with
+     a ratio at (or near) zero. *)
+  let r = DH.clipped_ratio (Source.plan_for ~acf:(Acf.fgn ~h:0.8) ~n:2048 ()) in
+  if r > 1e-4 then Alcotest.failf "fgn clipped ratio %g above threshold" r;
   (* A rectangular short-range ACF has strongly negative circulant
-     eigenvalues: the plan silently clips them, and the gate must
-     refuse unless explicitly overridden. *)
+     eigenvalues: a strict request is refused by name, a permissive
+     one clips them and reports the clipped mass. *)
   let rect =
     Acf.of_fun ~name:"rect-acf" (fun k -> if k = 0 then 1.0 else if k <= 8 then 0.95 else 0.0)
   in
-  (match Source.paxson_clipping_check ~acf:rect ~n:512 ~allow:false with
-  | exception Invalid_argument m ->
-    List.iter
-      (fun sub ->
-        if not (Astring.String.is_infix ~affix:sub m) then
-          Alcotest.failf "refusal %S lacks %S" m sub)
-      [ "rect-acf"; "--allow-clipping" ]
-  | r -> Alcotest.failf "expected refusal, got ratio %g" r);
-  let r = Source.paxson_clipping_check ~acf:rect ~n:512 ~allow:true in
-  if r <= 0.01 then Alcotest.failf "override path: expected ratio above 0.01, got %g" r
+  let strict () = ignore (Source.plan_for ~acf:rect ~n:512 () : DH.plan) in
+  List.iter
+    (fun sub -> raises_invalid ~contains:sub "strict request refused" strict)
+    [ "rect-acf"; "--allow-clipping" ];
+  let r = DH.clipped_ratio (Source.plan_for ~allow_clipping:true ~acf:rect ~n:512 ()) in
+  if r <= 0.01 then Alcotest.failf "override path: expected ratio above 0.01, got %g" r;
+  (* The permissive request cached the clipped plan; a strict request
+     for the same ACF must still refuse. *)
+  raises_invalid ~contains:"--allow-clipping" "strict request after a permissive one" strict
 
 (* ------------------------------------------------------------------ *)
 (* Fault-spec parser boundary validation                                *)

@@ -166,6 +166,43 @@ let test_generate_table_cached () =
   if t1 != t2 then Alcotest.fail "table not cached";
   Alcotest.(check int) "table length" 256 (Ss_fractal.Hosking.Table.length t1)
 
+let test_generate_cache_keyed_by_structure () =
+  (* A compensated background is named after its target dependence
+     only: the fitted model and its twin with the same dependence and
+     a Gaussian marginal share the background's name, not its values.
+     The table and plan caches must still give each model its own. *)
+  let model, _ = Lazy.force small_fit in
+  let transform =
+    Ss_fractal.Transform.make
+      (Ss_stats.Dist.normal ~mean:model.Model.mean ~std:(0.25 *. model.Model.mean))
+  in
+  let twin =
+    {
+      model with
+      Model.transform;
+      background = Model.background_of_dependence ~transform model.Model.dependence;
+    }
+  in
+  let bg_model = Model.background_acf model and bg_twin = Model.background_acf twin in
+  Alcotest.(check string) "shared name" bg_model.Acf.name bg_twin.Acf.name;
+  if bg_model.Acf.r 1 = bg_twin.Acf.r 1 then Alcotest.fail "twin background equals the model's";
+  let n = 64 in
+  ignore (Generate.table model ~n : Ss_fractal.Hosking.Table.t);
+  let fresh = Ss_fractal.Hosking.Table.make ~acf:bg_twin ~n in
+  close ~eps:0.0 "twin table cond_var 1"
+    (Ss_fractal.Hosking.Table.cond_var fresh 1)
+    (Ss_fractal.Hosking.Table.cond_var (Generate.table twin ~n) 1);
+  let dh m seed = Generate.background m ~n:256 Generate.Davies_harte (Rng.create ~seed) in
+  ignore (dh model 6 : float array);
+  let want =
+    Ss_fractal.Davies_harte.(generate (plan ~acf:bg_twin ~n:256 ())) (Rng.create ~seed:6)
+  in
+  Array.iteri
+    (fun i v ->
+      if Int64.bits_of_float v <> Int64.bits_of_float want.(i) then
+        Alcotest.failf "twin Davies-Harte path differs from its own plan's at %d" i)
+    (dh twin 6)
+
 let test_generate_table_reuse_in_background () =
   let model, _ = Lazy.force small_fit in
   let table = Generate.table model ~n:128 in
@@ -360,6 +397,7 @@ let () =
         [
           tc "foreground marginal" test_generate_foreground_marginal;
           tc "table cached" test_generate_table_cached;
+          tc "cache keyed by structure" test_generate_cache_keyed_by_structure;
           tc "table reuse" test_generate_table_reuse_in_background;
           tc "arrival fn" test_generate_arrival_fn_matches_transform;
           tc "invalid" test_generate_invalid;

@@ -273,7 +273,7 @@ let test_frac_diff_whitens_fractional_noise () =
   (* Differencing FARIMA(0,d,0) by d yields (approximately) white
      noise. *)
   let d = 0.35 in
-  let x = DH.generate (DH.plan ~acf:(Acf.farima ~d) ~n:20_000) (Rng.create ~seed:33) in
+  let x = DH.generate (DH.plan ~acf:(Acf.farima ~d) ~n:20_000 ()) (Rng.create ~seed:33) in
   let w = Frac_diff.difference ~d x in
   (* Drop the filter's startup region. *)
   let w = Array.sub w 2_000 18_000 in
@@ -380,7 +380,7 @@ let test_whittle_density_blows_up_at_origin_for_lrd () =
 let test_whittle_recovers_h () =
   List.iter
     (fun h ->
-      let x = DH.generate (DH.plan ~acf:(Acf.fgn ~h) ~n:8192) (Rng.create ~seed:9) in
+      let x = DH.generate (DH.plan ~acf:(Acf.fgn ~h) ~n:8192 ()) (Rng.create ~seed:9) in
       let e = Whittle.estimate x in
       close ~eps:0.06 (Printf.sprintf "whittle at H=%g" h) h e.Whittle.h)
     [ 0.6; 0.75; 0.9 ]
@@ -604,7 +604,7 @@ let test_batch_means_mean_matches () =
 let test_batch_means_lrd_correlation_persists () =
   (* Under strong LRD, batch means remain correlated — the paper's
      caveat about single-trace estimates. *)
-  let x = DH.generate (DH.plan ~acf:(Acf.fgn ~h:0.95) ~n:30_000) (Rng.create ~seed:20) in
+  let x = DH.generate (DH.plan ~acf:(Acf.fgn ~h:0.95) ~n:30_000 ()) (Rng.create ~seed:20) in
   let lrd = (Batch_means.analyze ~batches:30 x).Batch_means.lag1_batch_corr in
   let rng = Rng.create ~seed:21 in
   let iid = Array.init 30_000 (fun _ -> Rng.gaussian rng) in

@@ -371,9 +371,9 @@ let test_is_davies_harte_backend () =
      per-step innovations to accumulate a likelihood ratio from: it
      is plain MC only (zero twist), and the plan must cover the
      horizon. *)
-  let plan = Ss_fractal.Davies_harte.plan ~acf ~n:100 in
+  let plan = Ss_fractal.Davies_harte.plan ~acf ~n:100 () in
   raises_invalid "DH with nonzero twist" (fun () -> cfg (`Davies_harte plan) 0.5);
-  let short = Ss_fractal.Davies_harte.plan ~acf ~n:50 in
+  let short = Ss_fractal.Davies_harte.plan ~acf ~n:50 () in
   raises_invalid "DH plan shorter than horizon" (fun () -> cfg (`Davies_harte short) 0.0);
   (* At zero twist both backends estimate the same overflow event —
      the full-length Hosking table is the exact process too, so the

@@ -8,7 +8,6 @@ module Dist = Ss_stats.Dist
 module Acf = Ss_fractal.Acf
 module Hosking = Ss_fractal.Hosking
 module DH = Ss_fractal.Davies_harte
-module Paxson = Ss_fractal.Paxson
 module Hurst = Ss_fractal.Hurst
 module Transform = Ss_fractal.Transform
 module Acf_fit = Ss_fractal.Acf_fit
@@ -282,8 +281,15 @@ let test_hosking_block_matches_truncated () =
       Hosking.Block.create ~table ~order:(order + 1) ())
 
 (* ------------------------------------------------------------------ *)
-(* Relaxed precision tier                                               *)
+(* Relaxed arithmetic: the reassociated dot kernel. The FFT kernel runs
+   it on its sequential lags, so at order <= Fft_plan.partition (no lag
+   reaches the FFT) the FFT kernel is the exact recursion with every
+   dot product relaxed — the stream the removed relaxed kernel tier
+   emitted, pinned here through [fft_block].                            *)
 (* ------------------------------------------------------------------ *)
+
+let fft_block ~table ~order =
+  Hosking.Block.create ~fft_plan:(Hosking.Fft_plan.make ~table ~order) ~table ~order ()
 
 let test_ar_dot_relaxed_close () =
   (* The reassociated 4-accumulator kernel computes the same dot
@@ -302,7 +308,7 @@ let test_ar_dot_relaxed_close () =
     [ 1; 2; 3; 4; 5; 7; 8; 64; 513 ]
 
 let test_block_relaxed_close_to_exact () =
-  (* Same innovations, same AR rows: the relaxed block only
+  (* Same innovations, same AR rows: the relaxed dot only
      reassociates each dot product, so the paths track the exact tier
      to float rounding (amplified mildly by the AR feedback). *)
   let acf = Acf.fgn ~h:0.85 in
@@ -311,9 +317,7 @@ let test_block_relaxed_close_to_exact () =
   let exact = Array.make n 0.0 and relaxed = Array.make n 0.0 in
   Hosking.Block.fill (Hosking.Block.create ~table ~order ()) (Rng.create ~seed:31) exact
     ~off:0 ~len:n;
-  Hosking.Block.fill
-    (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:31) relaxed ~off:0 ~len:n;
+  Hosking.Block.fill (fft_block ~table ~order) (Rng.create ~seed:31) relaxed ~off:0 ~len:n;
   for i = 0 to n - 1 do
     close ~eps:1e-9 (Printf.sprintf "slot %d" i) exact.(i) relaxed.(i)
   done
@@ -325,25 +329,23 @@ let test_block_relaxed_deterministic () =
   let order = 32 and n = 100 in
   let table = Hosking.Table.make ~acf ~n:(order + 1) in
   let a = Array.make n 0.0 and b = Array.make n 0.0 in
-  Hosking.Block.fill (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:32) a ~off:0 ~len:n;
-  Hosking.Block.fill (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:32) b ~off:0 ~len:n;
+  Hosking.Block.fill (fft_block ~table ~order) (Rng.create ~seed:32) a ~off:0 ~len:n;
+  Hosking.Block.fill (fft_block ~table ~order) (Rng.create ~seed:32) b ~off:0 ~len:n;
   for i = 0 to n - 1 do
     if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then
       Alcotest.failf "slot %d: relaxed run not reproducible" i
   done
 
 let test_block_relaxed_statistics () =
-  (* The relaxed tier is gated statistically, not bitwise: a long
-     relaxed path must carry the model's dependence structure. *)
+  (* Relaxed arithmetic is gated statistically, not bitwise: a long
+     path must carry the model's dependence structure. At order 256
+     the FFT kernel also convolves the lags past its partition. *)
   let h = 0.8 in
   let acf = Acf.fgn ~h in
   let order = 256 and n = 16_384 in
   let table = Hosking.Table.make ~acf ~n:(order + 1) in
   let x = Array.make n 0.0 in
-  Hosking.Block.fill (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:33) x ~off:0 ~len:n;
+  Hosking.Block.fill (fft_block ~table ~order) (Rng.create ~seed:33) x ~off:0 ~len:n;
   close ~eps:0.05 "variance" 1.0 (D.variance x);
   let r = D.acf x ~max_lag:5 in
   close ~eps:0.04 "r(1)" (acf.Acf.r 1) r.(1);
@@ -356,20 +358,19 @@ let test_block_relaxed_statistics () =
   close ~eps:0.03 "variance-time H vs exact tier" he hv
 
 let test_block_relaxed_fixture () =
-  (* The relaxed tier's own bitwise fixture (fixed seed, FGN H=0.85,
-     order 32): head of the path plus the tail of a 64-slot fill, so
-     both the pre-steady-state rows and the steady-state relaxed
-     kernel are pinned. These values are NOT the exact tier's — the
-     tiers are seed-incompatible by design; regenerate the constants
-     whenever the relaxed kernel's summation order is changed on
-     purpose. *)
+  (* The removed relaxed tier's bitwise fixture (fixed seed, FGN
+     H=0.85, order 32), reproduced by the FFT kernel below its
+     partition size: head of the path plus the tail of a 64-slot fill,
+     so both the pre-steady-state rows and the steady-state relaxed
+     dot are pinned. These values are NOT the exact tier's — the
+     kernels are seed-incompatible by design; regenerate the
+     constants whenever [ar_dot_relaxed]'s summation order is changed
+     on purpose. *)
   let acf = Acf.fgn ~h:0.85 in
   let order = 32 and n = 64 in
   let table = Hosking.Table.make ~acf ~n:(order + 1) in
   let x = Array.make n 0.0 in
-  Hosking.Block.fill
-    (Hosking.Block.create ~relaxed:true ~table ~order ())
-    (Rng.create ~seed:34) x ~off:0 ~len:n;
+  Hosking.Block.fill (fft_block ~table ~order) (Rng.create ~seed:34) x ~off:0 ~len:n;
   let check i want =
     if Int64.bits_of_float x.(i) <> Int64.bits_of_float want then
       Alcotest.failf "relaxed fixture slot %d: got %.17g, want %.17g" i x.(i) want
@@ -390,9 +391,6 @@ let test_block_relaxed_fixture () =
 (* ------------------------------------------------------------------ *)
 (* FFT overlap-save tier                                                *)
 (* ------------------------------------------------------------------ *)
-
-let fft_block ~table ~order =
-  Hosking.Block.create ~fft_plan:(Hosking.Fft_plan.make ~table ~order) ~table ~order ()
 
 let test_block_fft_close_to_exact () =
   (* The FFT kernel consumes the same innovation per sample as the
@@ -439,10 +437,6 @@ let test_block_fft_pull_pattern () =
     if Int64.bits_of_float one.(i) <> Int64.bits_of_float two.(i) then
       Alcotest.failf "slot %d: chunked fft fill differs" i
   done;
-  raises_invalid "relaxed + fft_plan" (fun () ->
-      Hosking.Block.create ~relaxed:true
-        ~fft_plan:(Hosking.Fft_plan.make ~table ~order)
-        ~table ~order ());
   raises_invalid "plan order mismatch" (fun () ->
       Hosking.Block.create
         ~fft_plan:(Hosking.Fft_plan.make ~table ~order:100)
@@ -485,8 +479,8 @@ let test_block_fft_fixture () =
      order 192 so the overlap-save path and last-partition padding
      are both live): head of the path plus the tail of a 640-slot
      fill, pinning warmup, the kernel's steady state, and the
-     block/serve cursor plumbing. These values are NOT the exact or
-     relaxed tier's — the kernels are seed-incompatible by design;
+     block/serve cursor plumbing. These values are NOT the exact
+     tier's — the kernels are seed-incompatible by design;
      regenerate the constants whenever the FFT kernel's summation
      structure is changed on purpose. *)
   let acf = Acf.fgn ~h:0.85 in
@@ -517,7 +511,7 @@ let test_block_fft_fixture () =
 
 let test_dh_fgn_sample_stats () =
   let acf = Acf.fgn ~h:0.8 in
-  let plan = DH.plan ~acf ~n:32_768 in
+  let plan = DH.plan ~acf ~n:32_768 () in
   let x = DH.generate plan (Rng.create ~seed:7) in
   Alcotest.(check int) "length" 32_768 (Array.length x);
   (* LRD sample means wander: sd ~ n^{H-1} = 0.125 here. *)
@@ -528,7 +522,7 @@ let test_dh_fgn_sample_stats () =
   close ~eps:0.04 "r(3)" (acf.Acf.r 3) r.(3)
 
 let test_dh_white_noise () =
-  let plan = DH.plan ~acf:Acf.white_noise ~n:10_000 in
+  let plan = DH.plan ~acf:Acf.white_noise ~n:10_000 () in
   let x = DH.generate plan (Rng.create ~seed:8) in
   let r = D.acf x ~max_lag:3 in
   close ~eps:0.03 "white r(1)" 0.0 r.(1);
@@ -542,7 +536,7 @@ let test_dh_matches_hosking_statistically () =
   let l = exp (-0.05 *. 20.0) *. (20.0 ** 0.3) in
   let acf = Acf.composite ~knee:20 ~lambda:0.05 ~l ~beta:0.3 in
   let xh = Hosking.generate_stream ~acf ~n:10_000 (Rng.create ~seed:9) in
-  let plan = DH.plan ~acf ~n:10_000 in
+  let plan = DH.plan ~acf ~n:10_000 () in
   let xd = DH.generate plan (Rng.create ~seed:10) in
   let rh = D.acf xh ~max_lag:10 and rd = D.acf xd ~max_lag:10 in
   for k = 1 to 10 do
@@ -551,7 +545,7 @@ let test_dh_matches_hosking_statistically () =
   done
 
 let test_dh_deterministic_given_seed () =
-  let plan = DH.plan ~acf:(Acf.fgn ~h:0.7) ~n:100 in
+  let plan = DH.plan ~acf:(Acf.fgn ~h:0.7) ~n:100 () in
   let a = DH.generate plan (Rng.create ~seed:11) in
   let b = DH.generate plan (Rng.create ~seed:11) in
   Array.iteri (fun i v -> close "reproducible" v b.(i)) a
@@ -560,16 +554,16 @@ let test_dh_fgn_embeddable () =
   (* FGN embeddings are provably nonnegative for all H. *)
   List.iter
     (fun h ->
-      let plan = DH.plan ~acf:(Acf.fgn ~h) ~n:4096 in
+      let plan = DH.plan ~acf:(Acf.fgn ~h) ~n:4096 () in
       if DH.min_eigenvalue plan < -1e-9 then
         Alcotest.failf "FGN H=%g embedding negative: %g" h (DH.min_eigenvalue plan))
     [ 0.55; 0.7; 0.9; 0.95 ]
 
 let test_dh_invalid () =
-  raises_invalid "n = 0" (fun () -> DH.plan ~acf:Acf.white_noise ~n:0)
+  raises_invalid "n = 0" (fun () -> DH.plan ~acf:Acf.white_noise ~n:0 ())
 
 let test_dh_generate_into_matches_generate () =
-  let plan = DH.plan ~acf:(Acf.fgn ~h:0.8) ~n:256 in
+  let plan = DH.plan ~acf:(Acf.fgn ~h:0.8) ~n:256 () in
   let a = DH.generate plan (Rng.create ~seed:9) in
   let buf = Array.make 300 nan in
   DH.generate_into plan (Rng.create ~seed:9) buf;
@@ -582,29 +576,51 @@ let test_dh_generate_into_matches_generate () =
       DH.generate_into plan (Rng.create ~seed:9) (Array.make 255 0.0))
 
 (* ------------------------------------------------------------------ *)
-(* Paxson approximate synthesis                                         *)
+(* Clipped Davies-Harte embedding (~allow_clipping:true) — the former
+   Paxson backend, which ran Davies-Harte's circulant and sampler with
+   clipping instead of refusal.                                         *)
 (* ------------------------------------------------------------------ *)
 
+let clipping_plan ~acf ~n = DH.plan ~allow_clipping:true ~acf ~n ()
+
 let test_paxson_plan_basics () =
-  let plan = Paxson.plan ~acf:(Acf.fgn ~h:0.8) ~n:4096 in
-  Alcotest.(check int) "plan length" 4096 (Paxson.plan_length plan);
-  let cr = Paxson.clipped_ratio plan in
+  let plan = clipping_plan ~acf:(Acf.fgn ~h:0.8) ~n:4096 in
+  Alcotest.(check int) "plan length" 4096 (DH.plan_length plan);
+  let cr = DH.clipped_ratio plan in
   if cr < 0.0 || cr > 0.05 then
     Alcotest.failf "FGN folded circulant should be (near-)PSD, clipped ratio %g" cr;
   (* Non-power-of-two lengths fold onto the next power of two. *)
-  let p2 = Paxson.plan ~acf:(Acf.fgn ~h:0.8) ~n:3000 in
-  Alcotest.(check int) "non-pow2 length" 3000 (Paxson.plan_length p2)
+  let p2 = clipping_plan ~acf:(Acf.fgn ~h:0.8) ~n:3000 in
+  Alcotest.(check int) "non-pow2 length" 3000 (DH.plan_length p2)
 
 let test_paxson_deterministic () =
-  let plan = Paxson.plan ~acf:(Acf.fgn ~h:0.7) ~n:100 in
-  let a = Paxson.generate plan (Rng.create ~seed:40) in
-  let b = Paxson.generate plan (Rng.create ~seed:40) in
-  Array.iteri (fun i v -> close "reproducible" v b.(i)) a
+  (* The path [Paxson.generate] drew for this plan and seed before the
+     backend was folded into Davies-Harte: the clipping plan must
+     reproduce it bit for bit. *)
+  let plan = clipping_plan ~acf:(Acf.fgn ~h:0.7) ~n:100 in
+  let a = DH.generate plan (Rng.create ~seed:40) in
+  let b = DH.generate plan (Rng.create ~seed:40) in
+  Array.iteri (fun i v -> close "reproducible" v b.(i)) a;
+  List.iter
+    (fun (i, want) ->
+      if Int64.bits_of_float a.(i) <> Int64.bits_of_float want then
+        Alcotest.failf "paxson fixture slot %d: got %.17g, want %.17g" i a.(i) want)
+    [
+      (0, -0.017946555550417909);
+      (1, -0.63094432957275559);
+      (2, -0.83961963509597748);
+      (3, -1.9804782573513153);
+      (50, -1.0664135742481886);
+      (96, -1.8685761901648794);
+      (97, -0.68160251306448671);
+      (98, -0.18548383720898443);
+      (99, 0.081036234347694858);
+    ]
 
 let test_paxson_sample_stats () =
   let acf = Acf.fgn ~h:0.8 in
-  let plan = Paxson.plan ~acf ~n:32_768 in
-  let x = Paxson.generate plan (Rng.create ~seed:41) in
+  let plan = clipping_plan ~acf ~n:32_768 in
+  let x = DH.generate plan (Rng.create ~seed:41) in
   Alcotest.(check int) "length" 32_768 (Array.length x);
   close ~eps:0.3 "mean" 0.0 (D.mean x);
   close ~eps:0.08 "variance" 1.0 (D.variance x);
@@ -613,27 +629,27 @@ let test_paxson_sample_stats () =
   close ~eps:0.04 "r(3)" (acf.Acf.r 3) r.(3)
 
 let test_paxson_white_noise () =
-  let plan = Paxson.plan ~acf:Acf.white_noise ~n:10_000 in
-  let x = Paxson.generate plan (Rng.create ~seed:42) in
+  let plan = clipping_plan ~acf:Acf.white_noise ~n:10_000 in
+  let x = DH.generate plan (Rng.create ~seed:42) in
   let r = D.acf x ~max_lag:3 in
   close ~eps:0.03 "white r(1)" 0.0 r.(1);
   close ~eps:0.03 "white variance" 1.0 (D.variance x)
 
 let test_paxson_statistical_gates () =
-  (* The gates that define the approximate backend (mirrored in the
-     bench throughput-smoke variant): averaged sample ACF within 0.05
-     of the model at every lag <= 100, and variance-time Hurst within
-     0.03 of the same estimator on exact Davies-Harte paths. *)
+  (* The gates that define clipped synthesis: averaged sample ACF
+     within 0.05 of the model at every lag <= 100, and variance-time
+     Hurst within 0.03 of the same estimator on strict Davies-Harte
+     paths. *)
   let h = 0.8 in
   let acf = Acf.fgn ~h in
   let n = 16_384 and paths = 6 in
-  let plan = Paxson.plan ~acf ~n in
-  let dh_plan = DH.plan ~acf ~n in
+  let plan = clipping_plan ~acf ~n in
+  let dh_plan = DH.plan ~acf ~n () in
   let rng = Rng.create ~seed:43 in
   let acf_avg = Array.make 101 0.0 in
   let h_px = ref 0.0 and h_dh = ref 0.0 in
   for _ = 1 to paths do
-    let xp = Paxson.generate plan (Rng.split rng) in
+    let xp = DH.generate plan (Rng.split rng) in
     let xd = DH.generate dh_plan (Rng.split rng) in
     let r = D.acf xp ~max_lag:100 in
     for k = 1 to 100 do
@@ -651,21 +667,29 @@ let test_paxson_statistical_gates () =
   close ~eps:0.03 "variance-time H vs exact backend" (!h_dh /. fp) (!h_px /. fp)
 
 let test_paxson_generate_into_matches_generate () =
-  let plan = Paxson.plan ~acf:(Acf.fgn ~h:0.8) ~n:256 in
-  let a = Paxson.generate plan (Rng.create ~seed:44) in
+  (* On a plan that really clips: a short rectangular ACF. *)
+  let rect =
+    Acf.of_fun ~name:"rect-acf" (fun k -> if k = 0 then 1.0 else if k <= 8 then 0.95 else 0.0)
+  in
+  let plan = clipping_plan ~acf:rect ~n:256 in
+  if DH.clipped_ratio plan <= 0.0 then Alcotest.fail "rect-acf plan did not clip";
+  let a = DH.generate plan (Rng.create ~seed:44) in
   let buf = Array.make 300 nan in
-  Paxson.generate_into plan (Rng.create ~seed:44) buf;
+  DH.generate_into plan (Rng.create ~seed:44) buf;
   for i = 0 to 255 do
     if Int64.bits_of_float a.(i) <> Int64.bits_of_float buf.(i) then
       Alcotest.failf "slot %d: generate_into differs from generate" i
   done;
   if not (Float.is_nan buf.(256)) then Alcotest.fail "wrote past plan_length";
   raises_invalid "short buffer" (fun () ->
-      Paxson.generate_into plan (Rng.create ~seed:44) (Array.make 255 0.0))
+      DH.generate_into plan (Rng.create ~seed:44) (Array.make 255 0.0))
 
 let test_paxson_invalid () =
-  raises_invalid "n = 0" (fun () -> Paxson.plan ~acf:Acf.white_noise ~n:0);
-  raises_invalid "n < 0" (fun () -> Paxson.plan ~acf:Acf.white_noise ~n:(-3))
+  raises_invalid "n = 0" (fun () -> clipping_plan ~acf:Acf.white_noise ~n:0);
+  raises_invalid "n < 0" (fun () -> clipping_plan ~acf:Acf.white_noise ~n:(-3));
+  (* Clipping never rescues a spectrum with no positive mass. *)
+  raises_invalid "degenerate spectrum" (fun () ->
+      clipping_plan ~acf:(Acf.of_fun ~name:"nan" (fun _ -> nan)) ~n:16)
 
 (* ------------------------------------------------------------------ *)
 (* Cholesky oracle: for small n, sample the Gaussian vector directly
@@ -704,7 +728,7 @@ let test_generators_match_cholesky_oracle () =
       !last_var /. float_of_int reps )
   in
   let table = Hosking.Table.make ~acf ~n in
-  let plan = DH.plan ~acf ~n in
+  let plan = DH.plan ~acf ~n () in
   let c1, cv = stats (cholesky_sample ~acf ~n) 50 in
   let h1, hv = stats (Hosking.generate table) 51 in
   let d1, dv = stats (DH.generate plan) 52 in
@@ -720,7 +744,7 @@ let test_generators_match_cholesky_oracle () =
 (* Hurst estimation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let fgn_path ~h ~n ~seed = DH.generate (DH.plan ~acf:(Acf.fgn ~h) ~n) (Rng.create ~seed)
+let fgn_path ~h ~n ~seed = DH.generate (DH.plan ~acf:(Acf.fgn ~h) ~n ()) (Rng.create ~seed)
 
 let test_hurst_white_noise () =
   let rng = Rng.create ~seed:12 in

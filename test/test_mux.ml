@@ -523,7 +523,7 @@ let test_source_dh_backend_statistics () =
   let l = exp (-.lambda *. float_of_int knee) *. (float_of_int knee ** beta) in
   let acf = Acf.composite ~knee ~lambda ~l ~beta in
   let n = 1 lsl 17 in
-  let plan = Source.plan_for ~acf ~n in
+  let plan = Source.plan_for ~acf ~n () in
   (* The background is exactly zero-mean by construction, so the
      uncentered estimator avoids the O(n^{2H-2}) wandering-mean bias
      of the centered sample ACF. *)
@@ -561,23 +561,33 @@ let test_source_dh_backend_statistics () =
   close ~eps:0.03 "variance-time H" hurst (!h_acc /. float_of_int reps)
 
 let test_source_paxson_backend_contract () =
-  let m = Lazy.force small_model in
-  raises_invalid "Paxson without horizon" (fun () ->
-      Source.of_model ~backend:`Paxson m (Rng.create ~seed:1));
-  raises_invalid "bad horizon" (fun () ->
-      Source.of_model ~backend:`Paxson ~horizon:0 m (Rng.create ~seed:1));
-  let horizon = 200 in
-  let mk () =
-    Source.of_model ~order:64 ~backend:`Paxson ~horizon m (Rng.create ~seed:4316)
+  (* The former Paxson backend is Davies-Harte with clipping. On a
+     background that is not embeddable at the horizon, the default
+     source refuses and [~allow_clipping:true] synthesizes it. *)
+  let rect =
+    Acf.of_fun ~name:"rect-acf" (fun k -> if k = 0 then 1.0 else if k <= 8 then 0.95 else 0.0)
   in
-  (* Same materialized-backend contract as Davies-Harte: scalar and
-     block consumption agree bit for bit and the source departs
-     cleanly at its horizon. *)
+  let m = Ss_core.Model.with_background (Lazy.force small_model) rect in
+  let horizon = 200 in
+  raises_invalid "strict Davies-Harte refuses" (fun () ->
+      Source.of_model ~backend:`Davies_harte ~horizon m (Rng.create ~seed:1));
+  raises_invalid "clipping without horizon" (fun () ->
+      Source.of_model ~backend:`Davies_harte ~allow_clipping:true m (Rng.create ~seed:1));
+  raises_invalid "bad horizon" (fun () ->
+      Source.of_model ~backend:`Davies_harte ~allow_clipping:true ~horizon:0 m
+        (Rng.create ~seed:1));
+  let mk () =
+    Source.of_model ~order:64 ~backend:`Davies_harte ~allow_clipping:true ~horizon m
+      (Rng.create ~seed:4316)
+  in
+  (* The materialized-backend contract holds on a clipped path too:
+     scalar and block consumption agree bit for bit and the source
+     departs cleanly at its horizon. *)
   let scalar = mk () in
   let expect = Array.init horizon (fun _ -> fst (Source.next scalar)) in
   (match Source.next scalar with
   | exception Source.End_of_stream -> ()
-  | _ -> Alcotest.fail "Paxson source did not depart at its horizon");
+  | _ -> Alcotest.fail "clipping source did not depart at its horizon");
   List.iter
     (fun bs ->
       let s = mk () in
@@ -593,29 +603,28 @@ let test_source_paxson_backend_contract () =
         (Source.next_block s wbuf cbuf ~off:0 ~len:bs);
       for i = 0 to horizon - 1 do
         if bits wbuf.(i) <> bits expect.(i) then
-          Alcotest.failf "Paxson block %d slot %d differs from scalar" bs i
+          Alcotest.failf "clipping block %d slot %d differs from scalar" bs i
       done)
     [ 1; 7; 64 ];
   (* All arrivals are marginal workloads: finite and non-negative. *)
   Array.iteri
     (fun i w ->
       if not (Float.is_finite w) || w < 0.0 then
-        Alcotest.failf "Paxson arrival %d invalid: %g" i w)
+        Alcotest.failf "clipping arrival %d invalid: %g" i w)
     expect
 
 let test_source_relaxed_precision () =
-  (* The relaxed tier is a different arithmetic, not a different
-     process: same seed must give the same marginals up to rounding
-     drift of the reassociated kernel and the erf-free CDF, and the
-     tier itself must be deterministic. *)
+  (* Relaxed arithmetic is a different arithmetic, not a different
+     process. At order 32 the fft kernel never reaches its FFT and
+     runs the removed relaxed tier's stream: the reassociated dot and
+     the erf-free CDF. Same seed must give the same marginals up to
+     their rounding drift, and the stream must be deterministic. *)
   let m = Lazy.force small_model in
   let n = 256 in
   let take s = Array.init n (fun _ -> fst (Source.next s)) in
-  let mk precision =
-    Source.of_model ~order:32 ~precision m (Rng.create ~seed:4317)
-  in
-  let exact = take (mk `Exact) and relaxed = take (mk `Relaxed) in
-  let relaxed' = take (mk `Relaxed) in
+  let mk kernel = Source.of_model ~order:32 ~kernel m (Rng.create ~seed:4317) in
+  let exact = take (mk `Exact) and relaxed = take (mk `Fft) in
+  let relaxed' = take (mk `Fft) in
   for i = 0 to n - 1 do
     if bits relaxed.(i) <> bits relaxed'.(i) then
       Alcotest.failf "relaxed tier not deterministic at slot %d" i;
@@ -631,28 +640,28 @@ let test_source_relaxed_precision () =
     if bits default.(i) <> bits explicit.(i) then
       Alcotest.failf "explicit `Exact differs from default at slot %d" i
   done;
-  (* The tier composes with MPEG sources and materializing backends. *)
+  (* The relaxed transform composes with MPEG sources and with a
+     clipped Davies-Harte background. *)
   let mp = Lazy.force small_mpeg in
-  let s = Source.of_mpeg ~order:16 ~precision:`Relaxed mp (Rng.create ~seed:4318) in
+  let s = Source.of_mpeg ~order:16 ~kernel:`Fft mp (Rng.create ~seed:4318) in
   for _ = 1 to 64 do
     let w, _ = Source.next s in
     if not (Float.is_finite w) || w < 0.0 then Alcotest.fail "relaxed mpeg arrival invalid"
   done;
   let s =
-    Source.of_model ~backend:`Paxson ~precision:`Relaxed ~horizon:32 m
+    Source.of_model ~backend:`Davies_harte ~allow_clipping:true ~kernel:`Fft ~horizon:32 m
       (Rng.create ~seed:4319)
   in
   for _ = 1 to 32 do
     let w, _ = Source.next s in
-    if not (Float.is_finite w) || w < 0.0 then Alcotest.fail "relaxed paxson arrival invalid"
+    if not (Float.is_finite w) || w < 0.0 then Alcotest.fail "relaxed clipping arrival invalid"
   done
 
 let test_source_fft_kernel () =
-  (* The FFT tier, like relaxed, is a different arithmetic over the
-     same innovation stream: same seed must track the exact tier up
-     to the rounding drift of the spectral reassociation (plus the
-     relaxed marginal transform it rides), and must itself be
-     deterministic. Order 160 > one partition, n spanning several
+  (* The FFT tier is a different arithmetic over the same innovation
+     stream: same seed must track the exact tier up to the rounding
+     drift of the spectral reassociation (plus the relaxed marginal
+     transform it rides), and must itself be deterministic. Order 160 > one partition, n spanning several
      blocks, so the overlap-save path (not just the sequential
      warmup) is exercised. *)
   let m = Lazy.force small_model in
@@ -668,22 +677,6 @@ let test_source_fft_kernel () =
     if abs_float (exact.(i) -. fft.(i)) > tol then
       Alcotest.failf "slot %d: exact %.17g vs fft %.17g" i exact.(i) fft.(i)
   done;
-  (* ~kernel supersedes ~precision; agreeing spellings coincide
-     bitwise, disagreeing ones refuse. *)
-  let relaxed_via_kernel =
-    take (Source.of_model ~order:160 ~kernel:`Relaxed m (Rng.create ~seed:4321))
-  in
-  let relaxed_via_precision =
-    take
-      (Source.of_model ~order:160 ~precision:`Relaxed ~kernel:`Relaxed m
-         (Rng.create ~seed:4321))
-  in
-  for i = 0 to n - 1 do
-    if bits relaxed_via_kernel.(i) <> bits relaxed_via_precision.(i) then
-      Alcotest.failf "~kernel:`Relaxed differs from agreeing ~precision at slot %d" i
-  done;
-  raises_invalid "precision/kernel disagree" (fun () ->
-      ignore (Source.of_model ~precision:`Relaxed ~kernel:`Fft m (Rng.create ~seed:1)));
   (* Composes with MPEG sources. *)
   let mp = Lazy.force small_mpeg in
   let s = Source.of_mpeg ~order:16 ~kernel:`Fft mp (Rng.create ~seed:4322) in
@@ -691,18 +684,6 @@ let test_source_fft_kernel () =
     let w, _ = Source.next s in
     if not (Float.is_finite w) || w < 0.0 then Alcotest.fail "fft mpeg arrival invalid"
   done
-
-let test_mux_is_kernel_refusal () =
-  let m = Lazy.force small_model in
-  let cfg kernel () =
-    ignore
-      (Mux_is.make_config ~model:m ~sources:2 ~order:24 ~kernel ~service:3.0 ~buffer:8.0
-         ~slots:64 ~twist:0.1 ())
-  in
-  raises_invalid "fft kernel refused by IS" (cfg `Fft);
-  raises_invalid "relaxed kernel refused by IS" (cfg `Relaxed);
-  (* The default tier still configures. *)
-  cfg `Exact ()
 
 let test_source_cache_stats_counters () =
   (* Counter contract on a capacity-1 cache: a repeated lookup is one
@@ -1669,15 +1650,6 @@ let test_mux_is_invalid () =
           ~buffer:5.0 ~slots:50 ~twist:0.0 ()
       in
       ());
-  (* Same refusal for the approximate Paxson backend: its circulant
-     synthesis is materialized whole, so there are no per-step
-     innovations for the likelihood accumulator either. *)
-  raises_invalid "Paxson backend refused" (fun () ->
-      let (_ : Mux_is.config) =
-        Mux_is.make_config ~model:m ~sources:2 ~backend:`Paxson ~service:3.0
-          ~buffer:5.0 ~slots:50 ~twist:0.0 ()
-      in
-      ());
   raises_invalid "bad replications" (fun () ->
       let (_ : Mc.estimate) =
         Mux_is.estimate (mux_is_small ()) ~replications:0 (Rng.create ~seed:1)
@@ -2132,7 +2104,6 @@ let () =
           tc "Paxson contract" test_source_paxson_backend_contract;
           tc "relaxed precision tier" test_source_relaxed_precision;
           tc "fft kernel tier" test_source_fft_kernel;
-          tc "IS refuses fast-math kernels" test_mux_is_kernel_refusal;
           tc "cache stats counters" test_source_cache_stats_counters;
           tc "table cache LRU eviction" test_source_table_cache_lru_eviction;
           tc "table cache concurrent lookups" test_source_table_cache_concurrent_lookups;
