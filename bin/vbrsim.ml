@@ -47,9 +47,22 @@ let max_lag_arg =
   let doc = "Largest autocorrelation lag used by the fit." in
   Arg.(value & opt int 500 & info [ "max-lag" ] ~docv:"INT" ~doc)
 
+(* A float flag that refuses values failing [ok] at parse time: NaN
+   passes every unguarded bound test downstream. *)
+let float_where ~expected ok =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when not (ok v) -> Error (`Msg (Printf.sprintf "%S is not %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let utilization_arg =
   let doc = "Link utilization in (0,1)." in
-  Arg.(value & opt float 0.6 & info [ "utilization"; "u" ] ~docv:"FLOAT" ~doc)
+  let positive =
+    float_where ~expected:"a finite number > 0" (fun u -> Float.is_finite u && u > 0.0)
+  in
+  Arg.(value & opt positive 0.6 & info [ "utilization"; "u" ] ~docv:"FLOAT" ~doc)
 
 let replications_arg =
   let doc = "Independent replications per estimate." in
@@ -552,7 +565,8 @@ let mux_cmd =
       "Finite shared buffer in units of the per-source mean frame size (omit for an \
        unbounded buffer: pure delay, no loss)."
     in
-    Arg.(value & opt (some float) None & info [ "buffer" ] ~docv:"FLOAT" ~doc)
+    let size = float_where ~expected:"a number >= 0" (fun b -> b >= 0.0) in
+    Arg.(value & opt (some size) None & info [ "buffer" ] ~docv:"FLOAT" ~doc)
   in
   let epsilon_arg =
     let doc = "Admission-control overflow target Pr(Q > b) <= epsilon." in

@@ -32,24 +32,20 @@ type report = {
 
 let max_classes = 64
 
-(* Number of slots every source is advanced by (via its block pull)
-   before the sequential Lindley/admission loop consumes them;
-   amortizes both the per-batch pool synchronization and the
-   per-block kernel setup over prefetch_slots * N slots. *)
-let prefetch_slots = 256
-
-(* Upper bound on staged elements (sources * block slots) for the
-   sharded engine: at N = 10^5 sources a long stage would pin
-   hundreds of MB, so the block shrinks as N grows (floor 8). At
-   small N the block stretches well past [prefetch_slots] (cap below)
-   instead: every block costs one barrier dispatch, and on a
-   few-core machine the dispatch wake-up is the whole cost of a
-   multi-domain pool, so fewer, longer blocks keep d>1 from losing
-   to d=1. The block size only sets staging granularity, never
-   arithmetic — the admission loop consumes the same per-slot values
-   at any block size, so results are independent of both constants. *)
+(* Staging block: every source is advanced a block of slots at a time
+   (through its block pull) before the sequential Lindley/admission
+   loop consumes them. [staging_budget] bounds the staged elements
+   (sources * block slots): at N = 10^5 sources a long stage would pin
+   hundreds of MB, so the block shrinks as N grows (floor 8). At small
+   N the block stretches up to [max_block] instead: every block costs
+   one barrier dispatch, and on a few-core machine the dispatch
+   wake-up is the whole cost of a multi-domain pool, so fewer, longer
+   blocks keep d>1 from losing to d=1. The block size only sets
+   staging granularity, never arithmetic — the admission loop consumes
+   the same per-slot values at any block size, so results are
+   independent of both constants. *)
 let staging_budget = 1 lsl 20
-let max_sharded_block = 2048
+let max_block = 2048
 
 (* All-float mutable record for the per-slot Lindley/admission state:
    float-only records are stored flat, so updating a field is an
@@ -82,14 +78,13 @@ type checkpoint = {
   save : slot:int -> (Ck.W.t -> unit) -> unit;
 }
 
-(* Both engines keep the identical set of persistent accumulators;
-   gathering them in one record lets a single codec serve the
-   reference and the sharded engine (and makes "what survives a
-   resume" an explicit, auditable list). Everything NOT in here —
-   staging buffers, per-slot scratch ([works]/[classes]/[class_sums]/
-   [class_scale]/[class_adm], the adm/room/rem/prefix slot fields,
-   shard transpose state) — is recomputed from scratch every slot or
-   block, so a resumed run rebuilds it identically by construction.
+(* The engine's persistent accumulators, gathered in one record so the
+   codec below has one explicit, auditable list of "what survives a
+   resume". Everything NOT in here — staging buffers, per-slot scratch
+   ([works]/[classes]/[class_sums]/[class_scale]/[class_adm], the
+   adm/room/rem/prefix slot fields, shard transpose state) — is
+   recomputed from scratch every slot or block, so a resumed run
+   rebuilds it identically by construction.
    [es_traj_cls] is the one trajectory array that carries state across
    slots (residual per-(class, source) backlog cells); the other
    trajectory arrays are per-slot. *)
@@ -266,408 +261,7 @@ let validate_checkpoint ?checkpoint ?resume sources =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Reference engine (pre-shard pooled prefetch)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The pooled per-source prefetch engine, kept verbatim as the
-   oracle the sharded engine is tested bit-identical against (and as
-   the bench baseline the sharded speedup is measured from). Its
-   sequential admission loop defines the arithmetic — corrupt
-   handling, policing, class admission, Lindley step, quantiles — in
-   one fixed order; the sharded engine below executes the exact same
-   per-slot statement sequence over restaged data, which is what
-   makes the two engines (and any shard/domain count) bitwise
-   interchangeable. *)
-let run_reference ?pool ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ])
-    ?probe ?police ?trajectory ?checkpoint ?resume ~service ~slots sources =
-  if slots <= 0 then invalid_arg "Mux.run: slots <= 0";
-  if probe <> None && (checkpoint <> None || resume <> None) then
-    invalid_arg "Mux.run: ~probe is incompatible with checkpoint/resume (strict lock-step)";
-  validate_checkpoint ?checkpoint ?resume sources;
-  if service <= 0.0 then invalid_arg "Mux.run: service <= 0";
-  if buffer < 0.0 then invalid_arg "Mux.run: buffer < 0";
-  let n = Array.length sources in
-  if n = 0 then invalid_arg "Mux.run: no sources";
-  List.iter (fun b -> if b < 0.0 then invalid_arg "Mux.run: negative threshold") thresholds;
-  (match police with
-  | Some p when Police.size p <> n -> invalid_arg "Mux.run: policer sized for different sources"
-  | _ -> ());
-  let departed = Array.make n false in
-  let departed_at = Array.make n (-1) in
-  (* Source pulls are independent of the queue state, so every source
-     is advanced [block] slots at a time through its block pull into
-     a source-major staging buffer (source [i] owns the contiguous
-     region [i*block .. i*block + block - 1]); the Lindley/admission
-     loop below then consumes the staged slots sequentially. Every
-     source still sees its slots in order, and sources never share
-     mutable state (each model source runs on its own split
-     substream), so blocked advancement is bit-identical to per-slot
-     interleaving — with or without a pool, at any domain count.
-
-     The one consumer that needs strict lock-step is a [probe] that
-     terminates the run by raising (the importance sampler's
-     first-passage cutoff): its sources and likelihood accumulators
-     must not advance past the crossing slot, so a probed pool-less
-     run stages one slot at a time, exactly as before this kernel
-     existed. *)
-  let block =
-    match (probe, pool) with Some _, None -> 1 | _ -> Stdlib.min prefetch_slots slots
-  in
-  (* Snapshots only land on staging points, so a block longer than the
-     requested cadence would silently skip them (a whole small run can
-     be one block). Capping the block at [every] is bitwise-free:
-     block size never enters the arithmetic. *)
-  let block =
-    match checkpoint with
-    | Some ck -> Stdlib.max 1 (Stdlib.min block ck.every)
-    | None -> block
-  in
-  let wbuf = Array.make (block * n) 0.0 in
-  let cbuf = Array.make (block * n) 0 in
-  (* A source whose block pull comes up short (the block analogue of
-     raising [Source.End_of_stream]) departs cleanly: it contributes
-     zero work from that slot on and the run continues with the
-     remaining sources. Each source's flags and staging region are
-     written only by the task that owns the source, so the pooled
-     prefetch stays race-free. *)
-  let fill_source t0 bs i =
-    let off = i * block in
-    if departed.(i) then begin
-      Array.fill wbuf off bs 0.0;
-      Array.fill cbuf off bs 0
-    end
-    else
-      let f = Source.next_block sources.(i) wbuf cbuf ~off ~len:bs in
-      if f < bs then begin
-        departed.(i) <- true;
-        departed_at.(i) <- t0 + f;
-        Array.fill wbuf (off + f) (bs - f) 0.0;
-        Array.fill cbuf (off + f) (bs - f) 0
-      end
-  in
-  let cur_t0 = ref 0 in
-  let cur_bs = ref 0 in
-  let dispatch =
-    match pool with
-    | None -> fun () -> for i = 0 to n - 1 do fill_source !cur_t0 !cur_bs i done
-    | Some p ->
-      (* One prebuilt item per source: the fan-out recurs every
-         [block] slots, so the item closures are compiled once. *)
-      Ss_parallel.Pool.static_for p ~n (fun i -> fill_source !cur_t0 !cur_bs i)
-  in
-  let base = ref 0 in
-  let filled = ref 0 in
-  let works = Array.make n 0.0 in
-  let classes = Array.make n 0 in
-  let class_sums = Array.make max_classes 0.0 in
-  let class_scale = Array.make max_classes 1.0 in
-  let class_adm = Array.make max_classes 0.0 in
-  let offered = Array.make n 0.0 in
-  let admitted = Array.make n 0.0 in
-  let lost = Array.make n 0.0 in
-  let peak = Array.make n 0.0 in
-  let corrupt = Array.make n 0 in
-  let throttled = Array.make n 0.0 in
-  let discarded = Array.make n 0.0 in
-  let queue_stats = Online.create () in
-  (* Quantile estimators as (probability, estimator) arrays: the hot
-     loop indexes them with plain [for] loops instead of [List.iter]
-     closures (a closure capture per slot). *)
-  let q_quant = Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles) in
-  let d_quant = Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles) in
-  let nq = Array.length q_quant in
-  (* Per-class virtual-delay tracking: class backlogs follow the same
-     arrivals-then-service recursion as [q] (their sum replays it),
-     kept strictly apart from the Lindley state so the queue floats
-     stay bit-identical to runs that never asked for class delays. *)
-  let class_backlog = Array.make max_classes 0.0 in
-  let class_quant : (float * Online.P2.t) array option array = Array.make max_classes None in
-  let top_class = ref (-1) in
-  let thr = Array.of_list thresholds in
-  let thr_hits = Array.make (Array.length thr) 0 in
-  (* Opt-in per-source service/delay trajectory (the hook the ABR
-     scenario layer and the --csv trajectory rows consume). The
-     per-(class, source) backlog partition below refines the
-     aggregate class replay: each slot's admitted work is credited to
-     its source's cell, and each class's served work is distributed
-     over the cells proportionally to their share of the class
-     backlog (the fluid processor-sharing split within a priority
-     class). Everything here is derived state, written only when a
-     sink is present, so runs without one execute the identical float
-     sequence — trajectory observation never perturbs the report. *)
-  let has_traj = trajectory <> None in
-  let traj_served = if has_traj then Array.make n 0.0 else [||] in
-  let traj_delay = if has_traj then Array.make n 0.0 else [||] in
-  let traj_cls = if has_traj then Array.make (max_classes * n) 0.0 else [||] in
-  let traj_prefix = if has_traj then Array.make max_classes 0.0 else [||] in
-  let st = { q = 0.0; served = 0.0; adm = 0.0; room = 0.0; rem = 0.0; prefix = 0.0 } in
-  let es =
-    {
-      es_sources = sources;
-      es_police = police;
-      es_slots = slots;
-      es_service = service;
-      es_buffer = buffer;
-      es_quantiles = quantiles;
-      es_departed = departed;
-      es_departed_at = departed_at;
-      es_offered = offered;
-      es_admitted = admitted;
-      es_lost = lost;
-      es_peak = peak;
-      es_corrupt = corrupt;
-      es_throttled = throttled;
-      es_discarded = discarded;
-      es_st = st;
-      es_queue_stats = queue_stats;
-      es_q_quant = q_quant;
-      es_d_quant = d_quant;
-      es_class_backlog = class_backlog;
-      es_class_quant = class_quant;
-      es_top_class = top_class;
-      es_thr_hits = thr_hits;
-      es_traj_cls = traj_cls;
-    }
-  in
-  let t0 = match resume with None -> 0 | Some r -> restore_engine es r in
-  base := t0;
-  let last_ck = ref t0 in
-  for t = t0 to slots - 1 do
-    if t >= !base + !filled then begin
-      (* Every source sits exactly at slot [t] here — the only points
-         where a snapshot captures a consistent whole-run state. *)
-      (match checkpoint with
-      | Some ck when t - !last_ck >= ck.every ->
-        last_ck := t;
-        ck.save ~slot:t (save_engine es ~t)
-      | _ -> ());
-      base := t;
-      let bs = Stdlib.min block (slots - t) in
-      filled := bs;
-      cur_t0 := t;
-      cur_bs := bs;
-      dispatch ()
-    end;
-    let boff = t - !base in
-    let max_class = ref 0 in
-    for i = 0 to n - 1 do
-      let w0 = Array.unsafe_get wbuf ((i * block) + boff) in
-      let c = Array.unsafe_get cbuf ((i * block) + boff) in
-      (* Graceful degradation: corrupt work (NaN, negative, infinite)
-         must not crash the run or poison the Lindley recursion — it
-         is zeroed, counted against the source, and reported to the
-         policer (which evicts repeat offenders). [w0 <> w0] is the
-         (allocation-free) NaN test. *)
-      let was_corrupt = w0 <> w0 || w0 < 0.0 || w0 = infinity in
-      let w =
-        if was_corrupt then begin
-          corrupt.(i) <- corrupt.(i) + 1;
-          (match police with Some p -> Police.note_corrupt p ~slot:t i | None -> ());
-          0.0
-        end
-        else w0
-      in
-      if c < 0 || c >= max_classes then
-        invalid_arg (Printf.sprintf "Mux.run: source %s yielded class %d" sources.(i).Source.name c);
-      (* Each branch writes its (work, class) outcome straight into
-         [works]/[classes] — a cross-branch tuple here would allocate
-         every slot. *)
-      (match police with
-      | None ->
-        works.(i) <- w;
-        classes.(i) <- c
-      | Some p ->
-        if Police.evicted p i then begin
-          discarded.(i) <- discarded.(i) +. w;
-          works.(i) <- 0.0;
-          classes.(i) <- c
-        end
-        else begin
-          (* The policer judges the work the source tried to send;
-             the buffer sees the throttled remainder. Corrupt slots
-             went to [note_corrupt] instead — a NaN would poison
-             the moment estimates. *)
-          if not was_corrupt then Police.observe p ~slot:t i w;
-          let cap = Police.cap p i in
-          if w > cap then begin
-            throttled.(i) <- throttled.(i) +. (w -. cap);
-            works.(i) <- cap
-          end
-          else works.(i) <- w;
-          let d = Police.demotion p i in
-          classes.(i) <- (if d = 0 then c else Stdlib.min (max_classes - 1) (c + d))
-        end);
-      let w = works.(i) in
-      let c = classes.(i) in
-      offered.(i) <- offered.(i) +. w;
-      if w > peak.(i) then peak.(i) <- w;
-      if c > !max_class then max_class := c;
-      class_sums.(c) <- class_sums.(c) +. w
-    done;
-    if !max_class > !top_class then begin
-      (* Estimators exist for classes up to the highest one seen so
-         far and are fed from that slot on. *)
-      for c = !top_class + 1 to !max_class do
-        class_quant.(c) <-
-          Some (Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles))
-      done;
-      top_class := !max_class
-    end;
-    st.adm <- 0.0;
-    if buffer = infinity then begin
-      for i = 0 to n - 1 do
-        st.adm <- st.adm +. works.(i);
-        admitted.(i) <- admitted.(i) +. works.(i)
-      done;
-      for c = 0 to !max_class do
-        class_adm.(c) <- class_sums.(c);
-        class_sums.(c) <- 0.0
-      done
-    end
-    else begin
-      (* Work served during the slot frees space for the slot's own
-         arrivals; classes are admitted in strict priority order and
-         a class that does not fit shares the remaining room
-         proportionally to offered work. *)
-      st.room <- fmax 0.0 (buffer +. service -. st.q);
-      for c = 0 to !max_class do
-        let s = class_sums.(c) in
-        let f =
-          if s <= 0.0 then 0.0 else if s <= st.room then 1.0 else st.room /. s
-        in
-        class_scale.(c) <- f;
-        st.room <- fmax 0.0 (st.room -. (s *. f));
-        class_adm.(c) <- s *. f;
-        class_sums.(c) <- 0.0
-      done;
-      for i = 0 to n - 1 do
-        let w = works.(i) in
-        let a = w *. class_scale.(classes.(i)) in
-        st.adm <- st.adm +. a;
-        admitted.(i) <- admitted.(i) +. a;
-        lost.(i) <- lost.(i) +. (w -. a)
-      done
-    end;
-    (* Per-slot admitted work per source: in the finite-buffer branch
-       [class_scale] holds this slot's admission fraction per class;
-       with an unbounded buffer it keeps its initial all-ones value,
-       so the same expression covers both. *)
-    if has_traj then
-      for i = 0 to n - 1 do
-        traj_served.(i) <- 0.0;
-        let a = works.(i) *. class_scale.(classes.(i)) in
-        let idx = (classes.(i) * n) + i in
-        traj_cls.(idx) <- traj_cls.(idx) +. a
-      done;
-    st.served <- st.served +. fmin service (st.q +. st.adm);
-    st.q <- fmax 0.0 (st.q +. st.adm -. service);
-    (* Replay the slot on the class backlogs: arrivals, then strict
-       priority service of the slot's capacity. *)
-    st.rem <- service;
-    for c = 0 to !top_class do
-      let b = class_backlog.(c) +. class_adm.(c) in
-      class_adm.(c) <- 0.0;
-      let take = fmin st.rem b in
-      class_backlog.(c) <- b -. take;
-      st.rem <- st.rem -. take;
-      if has_traj && take > 0.0 then begin
-        (* [take > 0] implies [b > 0]. Proportional split of the
-           class's served work over its sources' backlog cells; with
-           [take = b] the cells drain to exactly zero. *)
-        let frac = take /. b in
-        let base = c * n in
-        for i = 0 to n - 1 do
-          let v = traj_cls.(base + i) in
-          if v > 0.0 then begin
-            let s = v *. frac in
-            traj_served.(i) <- traj_served.(i) +. s;
-            traj_cls.(base + i) <- v -. s
-          end
-        done
-      end
-    done;
-    st.prefix <- 0.0;
-    for c = 0 to !top_class do
-      st.prefix <- st.prefix +. class_backlog.(c);
-      if has_traj then traj_prefix.(c) <- st.prefix;
-      match class_quant.(c) with
-      | Some qs ->
-        for j = 0 to Array.length qs - 1 do
-          Online.P2.add (snd qs.(j)) (st.prefix /. service)
-        done
-      | None -> ()
-    done;
-    (match trajectory with
-    | None -> ()
-    | Some f ->
-      (* A source's virtual delay is the post-service backlog of
-         classes at or above its current priority, over service —
-         the same quantity the per-class quantile estimators track,
-         sampled at the source's class of this slot. *)
-      for i = 0 to n - 1 do
-        traj_delay.(i) <- traj_prefix.(classes.(i)) /. service
-      done;
-      f ~slot:t ~served:traj_served ~delays:traj_delay);
-    Online.add queue_stats st.q;
-    for j = 0 to nq - 1 do
-      Online.P2.add (snd q_quant.(j)) st.q
-    done;
-    for j = 0 to nq - 1 do
-      Online.P2.add (snd d_quant.(j)) (st.q /. service)
-    done;
-    for j = 0 to Array.length thr - 1 do
-      if st.q > thr.(j) then thr_hits.(j) <- thr_hits.(j) + 1
-    done;
-    match probe with None -> () | Some f -> f t st.q
-  done;
-  let fslots = float_of_int slots in
-  let total_offered = Array.fold_left ( +. ) 0.0 offered in
-  let total_lost = Array.fold_left ( +. ) 0.0 lost in
-  {
-    slots;
-    service;
-    buffer;
-    offered_utilization = total_offered /. fslots /. service;
-    carried_utilization = st.served /. (service *. fslots);
-    loss_fraction = (if total_offered > 0.0 then total_lost /. total_offered else 0.0);
-    mean_queue = Online.mean queue_stats;
-    max_queue = Online.max queue_stats;
-    queue_quantiles =
-      Array.to_list (Array.map (fun (p, p2) -> (p, Online.P2.quantile p2)) q_quant);
-    delay_quantiles =
-      Array.to_list (Array.map (fun (p, p2) -> (p, Online.P2.quantile p2)) d_quant);
-    class_delay_quantiles =
-      (let acc = ref [] in
-       for c = !top_class downto 0 do
-         match class_quant.(c) with
-         | Some qs when Array.for_all (fun (_, p2) -> Online.P2.count p2 > 0) qs ->
-           acc :=
-             (c, Array.to_list (Array.map (fun (p, p2) -> (p, Online.P2.quantile p2)) qs))
-             :: !acc
-         | _ -> ()
-       done;
-       !acc);
-    overflow =
-      List.mapi (fun j b -> (b, float_of_int thr_hits.(j) /. fslots)) thresholds;
-    per_source =
-      Array.init n (fun i ->
-          {
-            name = sources.(i).Source.name;
-            offered = offered.(i);
-            admitted = admitted.(i);
-            lost = lost.(i);
-            loss_fraction = (if offered.(i) > 0.0 then lost.(i) /. offered.(i) else 0.0);
-            mean_rate = offered.(i) /. fslots;
-            peak_rate = peak.(i);
-            corrupt_slots = corrupt.(i);
-            throttled = throttled.(i);
-            discarded = discarded.(i);
-            departed_at = (if departed_at.(i) < 0 then None else Some departed_at.(i));
-          });
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Sharded engine                                                      *)
+(* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-domain sub-muxes. The N sources are partitioned into [shards]
@@ -679,39 +273,59 @@ let run_reference ?pool ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 
    there is no per-slot or per-source cross-domain traffic.
 
    The sequential admission loop then consumes the slot-major rows:
-   slot t's N arrivals are contiguous in memory, where the reference
-   engine strides by [block] (one cache line per source per slot once
-   N is large). That layout change — plus fusing the unbounded-buffer
-   admission pass into the accounting pass — is the whole single-
-   domain speedup; the arithmetic is the reference engine's statement
-   sequence verbatim.
+   slot t's N arrivals are contiguous in memory, so the per-slot
+   accounting pass reads one row instead of striding across N
+   per-source buffers (one cache line per source per slot once N is
+   large).
 
    Bit-identity, by construction, at any (shards, domains, block):
    shards only decide WHICH task pulls a source's block and restages
    it — per-source pull order is unchanged, staged values are copied,
    never combined — and every floating-point reduction (class sums,
    admitted work, Lindley step, quantiles) happens on the caller in
-   pinned source order, identical to the reference engine. Integer
-   per-source state merged at the barrier (departure flags and slots)
-   is written only by the owning shard. *)
-let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory ?checkpoint
-    ?resume ~service ~slots sources =
+   pinned source order. Integer per-source state merged at the
+   barrier (departure flags and slots) is written only by the owning
+   shard.
+
+   A [probe] stages one slot per block: every shard finishes its
+   one-slot block at the barrier before the admission loop runs and
+   the probe is called on the caller after the slot, so a probe that
+   raises at slot t (the importance sampler's first-passage cutoff)
+   leaves every source having produced exactly slots 0..t, at any
+   shard and domain count. *)
+let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ])
+    ?probe ?police ?trajectory ?checkpoint ?resume ~service ~slots sources =
   if slots <= 0 then invalid_arg "Mux.run: slots <= 0";
+  (match shards with Some s when s < 1 -> invalid_arg "Mux.run: shards < 1" | _ -> ());
+  if probe <> None && (checkpoint <> None || resume <> None) then
+    invalid_arg "Mux.run: ~probe is incompatible with checkpoint/resume";
   validate_checkpoint ?checkpoint ?resume sources;
-  if service <= 0.0 then invalid_arg "Mux.run: service <= 0";
-  if buffer < 0.0 then invalid_arg "Mux.run: buffer < 0";
+  if not (Float.is_finite service && service > 0.0) then
+    invalid_arg "Mux.run: service must be finite and > 0";
+  if Float.is_nan buffer || buffer < 0.0 then invalid_arg "Mux.run: buffer is NaN or < 0";
   let n = Array.length sources in
   if n = 0 then invalid_arg "Mux.run: no sources";
-  List.iter (fun b -> if b < 0.0 then invalid_arg "Mux.run: negative threshold") thresholds;
+  List.iter
+    (fun b -> if Float.is_nan b || b < 0.0 then invalid_arg "Mux.run: threshold is NaN or < 0")
+    thresholds;
   (match police with
   | Some p when Police.size p <> n -> invalid_arg "Mux.run: policer sized for different sources"
   | _ -> ());
+  let shards =
+    match (shards, pool) with
+    | Some s, _ -> s
+    | None, Some p -> Ss_parallel.Pool.size p
+    | None, None -> 1
+  in
   let nshards = Stdlib.min shards n in
   let block =
-    Stdlib.min slots (Stdlib.max 8 (Stdlib.min max_sharded_block (staging_budget / n)))
+    if probe <> None then 1
+    else Stdlib.min slots (Stdlib.max 8 (Stdlib.min max_block (staging_budget / n)))
   in
-  (* See the reference engine: a block longer than the checkpoint
-     cadence would skip every snapshot point. Bitwise-free cap. *)
+  (* Snapshots only land on staging points, so a block longer than the
+     requested cadence would silently skip them (a whole small run can
+     be one block). Capping the block at [every] is bitwise-free:
+     block size never enters the arithmetic. *)
   let block =
     match checkpoint with
     | Some ck -> Stdlib.max 1 (Stdlib.min block ck.every)
@@ -734,6 +348,9 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
   let cbuf = Array.make (sstride * n) 0 in
   let wrow = Array.make (block * rstride) 0.0 in
   let crow = Array.make (block * rstride) 0 in
+  (* A source whose block pull comes up short (the block analogue of
+     raising [Source.End_of_stream]) departs cleanly: it contributes
+     zero work in class 0 from that slot on. *)
   let fill_source t0 bs i =
     let off = i * sstride in
     if departed.(i) then begin
@@ -853,14 +470,23 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
   let throttled = Array.make n 0.0 in
   let discarded = Array.make n 0.0 in
   let queue_stats = Online.create () in
+  (* Quantile estimators as (probability, estimator) arrays: the hot
+     loop indexes them with plain [for] loops instead of [List.iter]
+     closures (a closure capture per slot). *)
   let q_quant = Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles) in
   let d_quant = Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles) in
   let nq = Array.length q_quant in
+  (* Per-class virtual-delay tracking: class backlogs follow the same
+     arrivals-then-service recursion as [q], kept strictly apart from
+     the Lindley state so the queue floats never depend on it. *)
   let class_backlog = Array.make max_classes 0.0 in
   let class_quant : (float * Online.P2.t) array option array = Array.make max_classes None in
   let top_class = ref (-1) in
   let thr = Array.of_list thresholds in
   let thr_hits = Array.make (Array.length thr) 0 in
+  (* Trajectory state is written only when a sink is present, so runs
+     without one execute the identical float sequence. [traj_cls]
+     holds the per-(class, source) backlog cells. *)
   let has_traj = trajectory <> None in
   let traj_served = if has_traj then Array.make n 0.0 else [||] in
   let traj_delay = if has_traj then Array.make n 0.0 else [||] in
@@ -910,10 +536,11 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
   let last_ck = ref t0 in
   for t = t0 to slots - 1 do
     if t >= !base + !filled then begin
-      (* Same consistent point as the reference engine: all shards
-         idle, every source exactly at slot [t]. The snapshot is
-         engine- and shard-count-independent — a run checkpointed at
-         4 shards resumes bitwise at 1, and vice versa. *)
+      (* All shards idle, every source exactly at slot [t] — the only
+         points where a snapshot captures a consistent whole-run
+         state. The snapshot is shard-count-independent — a run
+         checkpointed at 4 shards resumes bitwise at 1, and vice
+         versa. *)
       (match checkpoint with
       | Some ck when t - !last_ck >= ck.every ->
         last_ck := t;
@@ -960,14 +587,16 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
     end
     else begin
     let max_class = ref 0 in
-    (* Accounting pass over slot t's contiguous row. Statement-for-
-       statement the reference engine's pass; under an unbounded
-       buffer the admission accumulation (reference pass two) is
-       fused in — each accumulator still sees its additions in the
-       same source order, so the fusion is bitwise invisible. *)
+    (* Accounting pass over slot t's contiguous row. Under an unbounded
+       buffer the admission accumulation is fused in — each
+       accumulator still sees its additions in source order. *)
     for i = 0 to n - 1 do
       let w0 = Array.unsafe_get wrow (row + i) in
       let c = Array.unsafe_get crow (row + i) in
+      (* Graceful degradation: corrupt work (NaN, negative, infinite)
+         is zeroed, counted against the source, and reported to the
+         policer instead of poisoning the Lindley recursion. [w0 <> w0]
+         is the (allocation-free) NaN test. *)
       let was_corrupt = w0 <> w0 || w0 < 0.0 || w0 = infinity in
       let w =
         if was_corrupt then begin
@@ -979,6 +608,9 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
       in
       if c < 0 || c >= max_classes then
         invalid_arg (Printf.sprintf "Mux.run: source %s yielded class %d" sources.(i).Source.name c);
+      (* Each branch writes its (work, class) outcome straight into
+         [works]/[classes] — a cross-branch tuple here would allocate
+         every slot. *)
       (match police with
       | None ->
         works.(i) <- w;
@@ -990,6 +622,10 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
           classes.(i) <- c
         end
         else begin
+          (* The policer judges the work the source tried to send;
+             the buffer sees the throttled remainder. Corrupt slots
+             went to [note_corrupt] instead — a NaN would poison the
+             moment estimates. *)
           if not was_corrupt then Police.observe p ~slot:t i w;
           let cap = Police.cap p i in
           if w > cap then begin
@@ -1024,6 +660,10 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
         class_sums.(c) <- 0.0
       done
     else begin
+      (* Work served during the slot frees space for the slot's own
+         arrivals; classes are admitted in strict priority order and
+         a class that does not fit shares the remaining room
+         proportionally to offered work. *)
       st.room <- fmax 0.0 (buffer +. service -. st.q);
       for c = 0 to !max_class do
         let s = class_sums.(c) in
@@ -1053,6 +693,9 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
       done;
     st.served <- st.served +. fmin service (st.q +. st.adm);
     st.q <- fmax 0.0 (st.q +. st.adm -. service);
+    (* Replay the slot on the class backlogs: arrivals, then strict
+       priority service of the slot's capacity; the trajectory splits
+       a class's served work over its sources' backlog cells. *)
     st.rem <- service;
     for c = 0 to !top_class do
       let b = class_backlog.(c) +. class_adm.(c) in
@@ -1100,7 +743,8 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
     done;
     for j = 0 to Array.length thr - 1 do
       if st.q > thr.(j) then thr_hits.(j) <- thr_hits.(j) + 1
-    done
+    done;
+    match probe with None -> () | Some f -> f t st.q
   done;
   let fslots = float_of_int slots in
   let total_offered = Array.fold_left ( +. ) 0.0 offered in
@@ -1147,32 +791,6 @@ let run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory
             departed_at = (if departed_at.(i) < 0 then None else Some departed_at.(i));
           });
   }
-
-let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ])
-    ?probe ?police ?trajectory ?checkpoint ?resume ~service ~slots sources =
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Mux.run: shards < 1"
-  | _ -> ());
-  match probe with
-  | Some _ ->
-    (* First-passage probes (the importance sampler's cutoff) need
-       the strict per-slot lock-step of the reference engine: a
-       probed run must be able to stop with no source advanced past
-       the crossing slot. Sharding is refused rather than silently
-       degraded. *)
-    (match shards with
-    | Some s when s > 1 -> invalid_arg "Mux.run: ~probe requires shards = 1 (strict lock-step)"
-    | _ -> ());
-    run_reference ?pool ~buffer ~thresholds ~quantiles ?probe ?police ?trajectory ?checkpoint
-      ?resume ~service ~slots sources
-  | None ->
-    let shards =
-      match shards with
-      | Some s -> s
-      | None -> (match pool with Some p -> Ss_parallel.Pool.size p | None -> 1)
-    in
-    run_sharded ?pool ~shards ~buffer ~thresholds ~quantiles ?police ?trajectory ?checkpoint
-      ?resume ~service ~slots sources
 
 (* ------------------------------------------------------------------ *)
 (* Report equality                                                     *)

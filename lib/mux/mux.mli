@@ -81,9 +81,9 @@ type checkpoint = {
 (** Periodic crash-safe snapshot hook for {!run}. Snapshots are taken
     only at staging points where every source sits exactly at slot
     [t], so the captured state is consistent and independent of the
-    engine, block size, shard count and domain count: a run
-    checkpointed under one configuration resumes bitwise under any
-    other (enforced by test). *)
+    block size, shard count and domain count: a run checkpointed
+    under one configuration resumes bitwise under any other (enforced
+    by test). *)
 
 val run :
   ?pool:Ss_parallel.Pool.t ->
@@ -104,26 +104,32 @@ val run :
     [infinity] (pure delay system, no loss); [thresholds] (default
     empty) are the queue levels whose exceedance fractions the report
     records; [quantiles] (default [0.5; 0.9; 0.99]) are the P²
-    levels; [probe] (for tests/tracing) is called after every slot
-    with the slot index and the updated queue length.
+    levels; [probe] is called on the caller after every slot with
+    the slot index and the updated queue length.
 
-    {b Sharded engine.} The sources are partitioned into [shards]
-    contiguous shards (default: the pool's domain count, or 1); each
-    shard advances all its sources one whole staged block of slots
-    through their block pulls and restages them slot-major, shards
-    synchronizing only at a coarse per-block barrier
+    {b Engine.} There is one engine. The sources are partitioned into
+    [shards] contiguous shards (default: the pool's domain count, or
+    1); each shard advances all its sources one whole staged block of
+    slots through their block pulls and restages them slot-major,
+    shards synchronizing only at a coarse per-block barrier
     ({!Ss_parallel.Barrier} — no per-slot or per-source cross-domain
     traffic). The sequential admission loop then consumes each slot's
     arrivals from one contiguous row. Results are {b bit-identical}
-    at any shard count, any domain count, and to {!run_reference}:
-    shards only choose which task pulls and restages a source's
-    block, while every floating-point reduction runs on the caller in
-    pinned source order. With [shards] larger than the source count,
-    the excess shards are empty (clamped). A [probe] needs the strict
-    per-slot lock-step of the reference engine (the importance
-    sampler stops runs mid-slot), so probed runs are delegated to
-    {!run_reference} verbatim; combining [probe] with an explicit
-    [shards > 1] raises [Invalid_argument].
+    at any shard count and any domain count: shards only choose which
+    task pulls and restages a source's block, while every
+    floating-point reduction runs on the caller in pinned source
+    order. With [shards] larger than the source count, the excess
+    shards are empty (clamped).
+
+    {b Probe.} With [probe] the staging block is one slot, at any
+    shard count: every shard finishes the slot at the barrier before
+    the admission loop runs, and the probe runs after the slot's
+    accounting. A probe may stop the run by raising (the importance
+    sampler's first-passage cutoff, {!Mux_is}); the exception
+    propagates out of [run], and a probe that raises at slot [t]
+    leaves every source having produced exactly slots [0..t] — none
+    is advanced past the crossing slot. A probed run is bit-identical
+    to the same run without a probe.
 
     With [trajectory], a per-source service/delay trajectory is
     exported: after every slot the sink is called with [served.(i)] —
@@ -161,47 +167,23 @@ val run :
     mismatch, with the offending field named). Checkpointing is
     observational: a run with [checkpoint] is bit-identical to one
     without.
-    @raise Invalid_argument if [slots <= 0], [service <= 0],
-    [buffer < 0], [shards < 1], no sources, a quantile outside (0,1),
-    a negative threshold, a source yields a class outside [0, 63],
-    [police] was created for a different number of sources, a
-    checkpoint interval is < 1, checkpoint/resume is combined with
+    @raise Invalid_argument if [slots <= 0], [service] is not finite
+    and [> 0], [buffer] is NaN or [< 0] ([infinity] is the unbounded
+    default), [shards < 1], no sources, a quantile outside (0,1), a
+    threshold is NaN or negative, a source yields a class outside
+    [0, 63], [police] was created for a different number of sources,
+    a checkpoint interval is < 1, checkpoint/resume is combined with
     [probe], or a source does not support checkpointing
     ({!Source.supports_checkpoint}).
     @raise Ss_checkpoint.Corrupt when [resume] does not match the
     reconstructed run or is structurally invalid. *)
-
-val run_reference :
-  ?pool:Ss_parallel.Pool.t ->
-  ?buffer:float ->
-  ?thresholds:float list ->
-  ?quantiles:float list ->
-  ?probe:(int -> float -> unit) ->
-  ?police:Police.t ->
-  ?trajectory:(slot:int -> served:float array -> delays:float array -> unit) ->
-  ?checkpoint:checkpoint ->
-  ?resume:Ss_checkpoint.R.t ->
-  service:float ->
-  slots:int ->
-  Source.t array ->
-  report
-(** The pre-shard pooled-prefetch engine, kept verbatim: with [pool]
-    each source is one fan-out item per staged block (source-major
-    staging, the admission loop striding across it), every source
-    still seeing one pull per slot in slot order. This is the
-    bit-identity oracle the sharded {!run} is tested against and the
-    baseline its speedup is benchmarked from; the two agree bitwise
-    on every field of the report for identical inputs. Prefer {!run}
-    everywhere else — the reference engine's per-slot strided reads
-    and per-source fan-out items are exactly what the sharded engine
-    exists to remove. Raises as {!run} (minus [shards]). *)
 
 val equal_report : report -> report -> bool
 (** Bitwise report equality: every float field (including nested
     quantile/overflow/per-source entries) compared by IEEE-754 bit
     pattern ([nan] equals [nan], [0.] differs from [-0.]), integer
     and name fields exactly. The equality the shard/domain-count
-    identity tests and the CI smoke gate assert. *)
+    identity tests, the test oracle and the CI smoke gate assert. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Multi-line text report: link summary, queue/delay statistics

@@ -650,7 +650,8 @@ let test_mux_checkpoint_refusals () =
   raises_invalid "interval < 1" (fun () ->
       let ck = { Mux.every = 0; save = (fun ~slot:_ _ -> ()) } in
       run_mux ~checkpoint:ck ());
-  (* A probe forces the reference engine, which cannot snapshot. *)
+  (* A probe's observer state lives outside the snapshot (the
+     importance sampler's likelihoods), so probed runs refuse it. *)
   raises_invalid "probe + checkpoint" (fun () ->
       let ck, _, _ = capture_hook 256 in
       let srcs = mux_sources () in

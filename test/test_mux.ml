@@ -26,9 +26,10 @@ let close ?(eps = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
-let raises_invalid msg f =
+let raises_invalid ?(prefix = "") msg f =
   match f () with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument m when String.starts_with ~prefix m -> ()
+  | exception Invalid_argument m -> Alcotest.failf "%s: message %S lacks %S" msg m prefix
   | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
 
 (* Small fitted model shared by the source/mux tests (lazy: only paid
@@ -377,6 +378,7 @@ let drain_blocks s bs wbuf cbuf n =
   done
 
 let bits = Int64.bits_of_float
+let same_floats a b = Array.for_all2 (fun x y -> bits x = bits y) a b
 
 let test_source_block_scalar_bit_identity () =
   (* The tentpole contract: for every order and block size, the block
@@ -871,7 +873,7 @@ let test_mux_zero_buffer_semantics () =
      every slot loses exactly [max 0 (offered - service)], the queue
      stays pinned at zero, and per-source loss follows the fluid
      proportional split. Pinned against hand-computed totals and the
-     reference engine so the sharded path cannot drift. *)
+     naive oracle so the engine cannot drift. *)
   let a0 = [| 1.0; 3.0; 0.5; 2.0; 0.0; 4.0 |] in
   let a1 = [| 0.5; 1.0; 2.5; 0.0; 1.0; 2.0 |] in
   let slots = Array.length a0 in
@@ -901,16 +903,16 @@ let test_mux_zero_buffer_semantics () =
   (* Work conservation survives the boundary. *)
   close ~eps:1e-12 "conservation s0" s0.Mux.offered (s0.Mux.admitted +. s0.Mux.lost);
   close ~eps:1e-12 "conservation s1" s1.Mux.offered (s1.Mux.admitted +. s1.Mux.lost);
-  (* Sharded engine and reference engine agree bitwise at the
-     boundary, at every shard count. *)
-  let reference = Mux.run_reference ~buffer:0.0 ~service ~slots (mk ()) in
-  if not (Mux.equal_report reference r) then
-    Alcotest.fail "zero-buffer: default run differs from reference";
+  (* The engine and the oracle agree bitwise at the boundary, at every
+     shard count. *)
+  let oracle = Mux_oracle.run ~buffer:0.0 ~service ~slots (mk ()) in
+  if not (Mux.equal_report oracle r) then
+    Alcotest.fail "zero-buffer: default run differs from the oracle";
   List.iter
     (fun shards ->
       let sharded = Mux.run ~shards ~buffer:0.0 ~service ~slots (mk ()) in
-      if not (Mux.equal_report reference sharded) then
-        Alcotest.failf "zero-buffer: %d-shard run differs from reference" shards)
+      if not (Mux.equal_report oracle sharded) then
+        Alcotest.failf "zero-buffer: %d-shard run differs from the oracle" shards)
     [ 1; 2; 3 ]
 
 let test_mux_overflow_curve_monotone () =
@@ -987,6 +989,18 @@ let test_mux_invalid () =
       Mux.run ~buffer:(-1.0) ~service:1.0 ~slots:10 [| src |]);
   raises_invalid "negative threshold" (fun () ->
       Mux.run ~thresholds:[ -1.0 ] ~service:1.0 ~slots:10 [| src |]);
+  (* NaN fails every ordered comparison, so each link parameter has its
+     own NaN test; [infinity] stays the unbounded-buffer default. *)
+  let named p = "Mux.run: " ^ p in
+  raises_invalid ~prefix:(named "service") "nan service" (fun () ->
+      Mux.run ~service:nan ~slots:10 [| src |]);
+  raises_invalid ~prefix:(named "service") "infinite service" (fun () ->
+      Mux.run ~service:infinity ~slots:10 [| src |]);
+  raises_invalid ~prefix:(named "buffer") "nan buffer" (fun () ->
+      Mux.run ~buffer:nan ~service:1.0 ~slots:10 [| src |]);
+  raises_invalid ~prefix:(named "threshold") "nan threshold" (fun () ->
+      Mux.run ~thresholds:[ 1.0; nan ] ~service:1.0 ~slots:10 [| src |]);
+  ignore (Mux.run ~buffer:infinity ~service:1.0 ~slots:10 [| src |]);
   raises_invalid "bad class" (fun () ->
       Mux.run ~service:1.0 ~slots:10
         [| Source.make ~name:"bad" ~mean:0.0 ~sigma2:0.0 ~hurst:0.5 (fun () -> (1.0, 64)) |])
@@ -1311,53 +1325,80 @@ let test_mux_hot_loop_allocation () =
 (* Sharded engine: bit-identity across shard counts                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Mixed population for the shard-identity tests: cycling replays,
-   finite sources that depart mid-run, multi-class pulls, and sources
-   that emit corrupt slots — every per-source staging path the
-   sharded engine must reproduce. Stateful, so rebuilt from the seed
-   for every run. *)
-let shard_sources ~n ~seed =
+(* Mixed source population, one source per kind, every kind
+   checkpointable: 0 cycling replay, 1 finite replay (departs after
+   40-64 slots), 2 multi-class pull, 3 corrupt-emitting pull, 4/5
+   order-8 model source on the exact and fft kernels, 6/7 fault-wrapped
+   cycling and finite replays. Sources are stateful, so every run
+   rebuilds them from the seed. *)
+let mixed_sources ~seed kinds =
   let rng = Rng.create ~seed in
-  Array.init n (fun i ->
-      let len = 48 + (i mod 17) in
-      let arr =
-        Array.init len (fun _ ->
-            Rng.exponential rng ~rate:(1.0 /. (0.5 +. float_of_int (i mod 3))))
-      in
-      let name = Printf.sprintf "s%d" i in
-      match i mod 7 with
-      | 3 -> Source.of_array ~name ~cycle:false arr (* departs after len slots *)
-      | 5 ->
-          let k = ref 0 in
-          Source.make ~name ~mean:1.0 ~sigma2:1.0 ~hurst:0.5 (fun () ->
-              let j = !k in
-              incr k;
-              (arr.(j mod len), j mod 3))
-      | 6 ->
-          let k = ref 0 in
-          Source.make ~name ~mean:1.0 ~sigma2:1.0 ~hurst:0.5 (fun () ->
-              let j = !k in
-              incr k;
-              ( (if j mod 29 = 7 then nan
-                 else if j mod 31 = 5 then -1.0
-                 else arr.(j mod len)),
-                0 ))
-      | _ -> Source.of_array ~name ~cycle:true arr)
+  Array.of_list
+    (List.mapi
+       (fun i kind ->
+         let name = Printf.sprintf "s%d" i in
+         let len = Rng.int_range rng 40 64 in
+         let mean = 0.5 +. float_of_int (i mod 3) in
+         let arr = Array.init len (fun _ -> Rng.exponential rng ~rate:(1.0 /. mean)) in
+         let cls = Array.init len (fun _ -> Rng.int_range rng 0 3) in
+         let counted pull =
+           let k = ref 0 in
+           let ckpt =
+             {
+               Source.ck_save = (fun w -> Ss_checkpoint.W.int w !k);
+               ck_restore = (fun r -> k := Ss_checkpoint.R.int r);
+             }
+           in
+           Source.make ~ckpt ~name ~mean:1.0 ~sigma2:1.0 ~hurst:0.5 (fun () ->
+               incr k;
+               pull ((!k - 1) mod len))
+         in
+         let faulty cycle =
+           let ev =
+             match Rng.int_range rng 0 3 with
+             | 0 -> Fault.Drift { start = 20; ramp = 10; factor = 3.0 }
+             | 1 -> Fault.Stall { start = 5; len = 30 }
+             | 2 -> Fault.Corrupt { rate = 0.05 }
+             | _ -> Fault.Burst { rate = 0.05; mean_len = 4.0; amplitude = 4.0 }
+           in
+           Fault.wrap ~rng:(Rng.split rng) [ ev ] (Source.of_array ~name ~cycle arr)
+         in
+         match kind with
+         | 0 -> Source.of_array ~name ~cycle:true arr
+         | 1 -> Source.of_array ~name arr
+         | 2 -> counted (fun j -> (arr.(j), cls.(j)))
+         | 3 ->
+           counted (fun j ->
+               ( (if j mod 7 = 3 then nan
+                  else if j mod 11 = 5 then -1.0
+                  else if j mod 13 = 6 then infinity
+                  else arr.(j)),
+                 0 ))
+         | 4 -> Source.of_model ~name ~order:8 (Lazy.force small_model) (Rng.split rng)
+         | 5 ->
+           Source.of_model ~name ~order:8 ~kernel:`Fft (Lazy.force small_model) (Rng.split rng)
+         | 6 -> faulty true
+         | _ -> faulty false)
+       kinds)
+
+(* The sharded-engine tests' population: replays, departures,
+   multi-class pulls and corrupt slots — every per-source staging path
+   the engine must reproduce. *)
+let shard_sources ~n ~seed = mixed_sources ~seed (List.init n (fun i -> i mod 4))
 
 let test_mux_sharded_bit_identity () =
-  (* The sharded engine must reproduce the reference engine bitwise at
-     every shard count — including counts that do not divide the
-     source count — on a finite buffer with thresholds, departures,
-     corrupt slots and several priority classes in play. *)
+  (* The engine must reproduce the naive oracle bitwise at every shard
+     count — including counts that do not divide the source count —
+     on a finite buffer with thresholds, departures, corrupt slots and
+     several priority classes in play. *)
   List.iter
     (fun n ->
       let slots = 300 in
       let service = 1.1 *. float_of_int n in
       let buffer = 4.0 *. float_of_int n in
       let thresholds = [ 0.0; 1.0; 0.5 *. float_of_int n ] in
-      let reference =
-        Mux.run_reference ~buffer ~thresholds ~service ~slots
-          (shard_sources ~n ~seed:(1000 + n))
+      let oracle =
+        Mux_oracle.run ~buffer ~thresholds ~service ~slots (shard_sources ~n ~seed:(1000 + n))
       in
       List.iter
         (fun shards ->
@@ -1365,19 +1406,19 @@ let test_mux_sharded_bit_identity () =
             Mux.run ~shards ~buffer ~thresholds ~service ~slots
               (shard_sources ~n ~seed:(1000 + n))
           in
-          if not (Mux.equal_report reference r) then
-            Alcotest.failf "n=%d shards=%d differs from the reference engine" n shards)
+          if not (Mux.equal_report oracle r) then
+            Alcotest.failf "n=%d shards=%d differs from the oracle" n shards)
         [ 1; 2; 4; 7 ])
     [ 5; 64; 513 ]
 
 let test_mux_sharded_pool_bit_identity () =
   (* Shards dispatched over a real domain pool: still bitwise equal to
-     the sequential reference engine, at divisible and non-divisible
-     shard counts and at the default shard count (the pool size). *)
+     the oracle, at divisible and non-divisible shard counts and at the
+     default shard count (the pool size). *)
   let n = 64 and slots = 400 in
   let service = 1.05 *. float_of_int n and buffer = 5.0 *. float_of_int n in
   let mk () = shard_sources ~n ~seed:7064 in
-  let reference = Mux.run_reference ~buffer ~service ~slots (mk ()) in
+  let oracle = Mux_oracle.run ~buffer ~service ~slots (mk ()) in
   let pool = Pool.create ~domains:4 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
@@ -1385,15 +1426,16 @@ let test_mux_sharded_pool_bit_identity () =
       List.iter
         (fun shards ->
           let r = Mux.run ~pool ?shards ~buffer ~service ~slots (mk ()) in
-          if not (Mux.equal_report reference r) then
-            Alcotest.failf "pooled shards=%s differs from the reference engine"
+          if not (Mux.equal_report oracle r) then
+            Alcotest.failf "pooled shards=%s differs from the oracle"
               (match shards with Some s -> string_of_int s | None -> "default"))
         [ None; Some 2; Some 7 ])
 
 let test_mux_sharded_police_fault_identity () =
   (* Policing and fault injection run on the central sequential loop,
      so they compose with sharding bit-identically: the whole report
-     of a policed, fault-injected run is shard-count-invariant. *)
+     of a policed, fault-injected run is shard-count-invariant and
+     equal to the oracle's. *)
   let n = 64 and slots = 2048 in
   let service = 1.02 *. float_of_int n and buffer = 3.0 *. float_of_int n in
   let spec =
@@ -1410,13 +1452,13 @@ let test_mux_sharded_police_fault_identity () =
     in
     let p = Police.create ~config (Array.map Admission.descr_of_source srcs) in
     match shards with
-    | None -> Mux.run_reference ~police:p ~buffer ~service ~slots srcs
+    | None -> Mux_oracle.run ~police:p ~buffer ~service ~slots srcs
     | Some s -> Mux.run ~shards:s ~police:p ~buffer ~service ~slots srcs
   in
-  let reference = run None in
+  let oracle = run None in
   List.iter
     (fun s ->
-      if not (Mux.equal_report reference (run (Some s))) then
+      if not (Mux.equal_report oracle (run (Some s))) then
         Alcotest.failf "policed faulted run differs at shards=%d" s)
     [ 1; 4; 7 ]
 
@@ -1452,25 +1494,155 @@ let test_mux_sharded_trajectory_identity () =
     t1 t4
 
 let test_mux_sharded_probe_dispatch () =
-  (* A probe needs the reference engine's strict per-slot lock-step
-     (the importance sampler stops runs mid-slot), so probed runs
-     delegate to it and an explicit multi-shard request is refused. *)
-  let mk () = shard_sources ~n:5 ~seed:800 in
-  let service = 6.0 and slots = 200 in
-  let path_ref = Array.make slots 0.0 and path_run = Array.make slots 0.0 in
-  let r_ref =
-    Mux.run_reference ~probe:(fun t q -> path_ref.(t) <- q) ~service ~slots (mk ())
+  (* A probed run stages one slot per block, at any shard count and
+     with or without a pool: its report and probe path equal the
+     oracle's bitwise. And since the importance sampler weights a
+     replication by the innovations drawn up to its first passage, a
+     probe that raises at slot [stop] must leave every source having
+     produced exactly slots 0..stop. [stop + 1] is prime, so any
+     staging block of 2..stop slots would overshoot it. *)
+  let n = 6 and slots = 200 and stop = 36 and service = 5.0 in
+  (* Returns the report (None when the probe stopped the run), the
+     queue path and the slots each source produced through block
+     pulls (the engine's path; the oracle pulls slot by slot). *)
+  let run ?stop f =
+    let pulls = Array.make n 0 and path = Array.make slots nan in
+    let srcs =
+      Array.mapi
+        (fun i (s : Source.t) ->
+          let pull_block w c off len =
+            let f = s.Source.pull_block w c off len in
+            pulls.(i) <- pulls.(i) + f;
+            f
+          in
+          { s with Source.pull_block })
+        (shard_sources ~n ~seed:800)
+    in
+    let probe t q =
+      path.(t) <- q;
+      if Some t = stop then raise Exit
+    in
+    let r = try Some (f ~probe srcs) with Exit -> None in
+    (r, path, pulls)
   in
-  let r_run = Mux.run ~probe:(fun t q -> path_run.(t) <- q) ~service ~slots (mk ()) in
-  if not (Mux.equal_report r_ref r_run) then
-    Alcotest.fail "probed run differs from the reference engine";
-  Array.iteri
-    (fun t q -> if bits q <> bits path_run.(t) then Alcotest.failf "probe path slot %d" t)
-    path_ref;
-  raises_invalid "probe + shards > 1" (fun () ->
-      ignore (Mux.run ~shards:2 ~probe:(fun _ _ -> ()) ~service ~slots (mk ())));
+  let oracle f = f (fun ~probe srcs -> Mux_oracle.run ~probe ~service ~slots srcs) in
+  let full, full_path, _ = oracle run and _, stop_path, _ = oracle (run ~stop) in
+  let pool = Pool.create ~domains:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (pool, shards) ->
+      let label =
+        Printf.sprintf "shards=%s pool=%b"
+          (Option.fold ~none:"default" ~some:string_of_int shards) (pool <> None)
+      in
+      let engine ~probe srcs = Mux.run ?pool ?shards ~probe ~service ~slots srcs in
+      let r, path, _ = run engine in
+      if not (Mux.equal_report (Option.get full) (Option.get r) && same_floats full_path path)
+      then Alcotest.failf "%s: probed run differs from the oracle" label;
+      let r, path, pulls = run ~stop engine in
+      if r <> None then Alcotest.failf "%s: the probe did not stop the run" label;
+      if not (same_floats stop_path path) then Alcotest.failf "%s: stopped path differs" label;
+      Array.iteri
+        (fun i k ->
+          if k <> stop + 1 then
+            Alcotest.failf "%s: source %d pulled %d times, expected %d" label i k (stop + 1))
+        pulls)
+    (List.concat_map
+       (fun pool -> List.map (fun s -> (pool, s)) [ None; Some 1; Some 2; Some 4; Some 7 ])
+       [ None; Some pool ]);
   raises_invalid "shards < 1" (fun () ->
-      ignore (Mux.run ~shards:0 ~service ~slots (mk ())))
+      ignore (Mux.run ~shards:0 ~service ~slots (shard_sources ~n ~seed:800)))
+
+(* ------------------------------------------------------------------ *)
+(* Differential property: Mux.run against the naive oracle              *)
+(* ------------------------------------------------------------------ *)
+
+let prop_mux_matches_oracle =
+  QCheck.Test.make ~name:"Mux.run = naive oracle, bitwise" ~count:40 ~long_factor:25
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 300))
+    (fun (seed, slots) ->
+      (* The whole run shape is drawn from the seed. *)
+      let rng = Rng.create ~seed in
+      let pick xs = List.nth xs (Rng.int_range rng 0 (List.length xs - 1)) in
+      let kinds = List.init (Rng.int_range rng 1 9) (fun _ -> Rng.int_range rng 0 7) in
+      let load = Rng.float_range rng 0.5 1.5 in
+      let service =
+        Array.fold_left (fun a s -> a +. s.Source.mean) 0.0 (mixed_sources ~seed kinds) /. load
+      in
+      let buffer = pick [ None; Some 0.0; Some (Rng.float_range rng 0.1 8.0 *. service) ] in
+      let thresholds =
+        List.init (Rng.int_range rng 0 3) (fun _ -> Rng.float_range rng 0.0 4.0 *. service)
+      in
+      let quantiles = pick [ [ 0.5; 0.9; 0.99 ]; []; [ 0.25 ] ] in
+      let police = Rng.bool rng in
+      let traj = Rng.bool rng in
+      let shards = pick [ 1; 2; 4; 7 ] in
+      let pooled = Rng.bool rng in
+      let split =
+        if slots > 1 && Rng.float rng < 0.35 then Some (Rng.int_range rng 1 (slots - 1))
+        else None
+      in
+      let probe = split = None && Rng.bool rng in
+      (* One run on freshly built sources: its report, its trajectory
+         rows and its probe path. *)
+      let run engine =
+        let srcs = mixed_sources ~seed kinds in
+        let police =
+          if police then
+            Some
+              (Police.create
+                 ~config:{ Police.default with Police.window = 16; warmup_windows = 1 }
+                 (Array.map Admission.descr_of_source srcs))
+          else None
+        in
+        let rows = ref [] and path = Array.make slots nan in
+        let trajectory ~slot ~served ~delays =
+          rows := (slot, Array.copy served, Array.copy delays) :: !rows
+        in
+        let trajectory = if traj then Some trajectory else None in
+        let probe = if probe then Some (fun t q -> path.(t) <- q) else None in
+        let r = engine ?police ?trajectory ?probe srcs in
+        (r, List.rev !rows, path)
+      in
+      let same (r1, rows1, path1) (r2, rows2, path2) =
+        Mux.equal_report r1 r2
+        && List.equal
+             (fun (s1, w1, d1) (s2, w2, d2) -> s1 = s2 && same_floats w1 w2 && same_floats d1 d2)
+             rows1 rows2
+        && same_floats path1 path2
+      in
+      let oracle =
+        run (fun ?police ?trajectory ?probe srcs ->
+            Mux_oracle.run ?buffer ~thresholds ~quantiles ?probe ?police ?trajectory ~service
+              ~slots srcs)
+      in
+      let pool = if pooled then Some (Pool.create ~domains:2) else None in
+      Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
+      let engine ?checkpoint ?resume ?police ?trajectory ?probe srcs =
+        Mux.run ?pool ~shards ?buffer ~thresholds ~quantiles ?probe ?police ?trajectory
+          ?checkpoint ?resume ~service ~slots srcs
+      in
+      match split with
+      | None -> same oracle (run (engine ?checkpoint:None ?resume:None))
+      | Some every ->
+        (* Snapshot, then resume the first snapshot on fresh sources:
+           from its slot on, the resumed run is the oracle's run. *)
+        let first = ref None in
+        let save ~slot fill =
+          if !first = None then begin
+            let w = Ss_checkpoint.W.create () in
+            fill w;
+            first := Some (slot, Ss_checkpoint.R.of_string (Ss_checkpoint.W.contents w))
+          end
+        in
+        same oracle (run (engine ~checkpoint:{ Mux.every; save } ?resume:None))
+        &&
+        match !first with
+        | None -> true
+        | Some (slot, resume) ->
+          let r, rows, path = oracle in
+          same (r, List.filter (fun (s, _, _) -> s >= slot) rows, path)
+            (run (engine ?checkpoint:None ~resume)))
 
 (* ------------------------------------------------------------------ *)
 (* Mux_is: importance-sampled shared-buffer overflow                    *)
@@ -2065,7 +2237,12 @@ let test_police_mux_integration () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_online_matches_descriptive; prop_online_merge; prop_p2_within_range ]
+    [
+      prop_online_matches_descriptive;
+      prop_online_merge;
+      prop_p2_within_range;
+      prop_mux_matches_oracle;
+    ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
