@@ -57,6 +57,33 @@ let float_where ~expected ok =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* [--twist]: a finite background mean shift m*, or one of the search
+   [keywords] (name, value). Anything else is refused at parse time: a
+   NaN twist turns every slot's work into NaN, which the engine zeroes
+   as corrupt, so the estimate would read p = 0 without an error. *)
+let twist_arg ~keywords ~doc =
+  let names = List.map fst keywords in
+  let parse s =
+    match List.assoc_opt s keywords with
+    | Some k -> Ok k
+    | None -> (
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v -> Ok (`Value v)
+      | _ ->
+        let rec alternatives = function
+          | [] -> ""
+          | [ x ] -> " or '" ^ x ^ "'"
+          | x :: rest -> ", '" ^ x ^ "'" ^ alternatives rest
+        in
+        Error (`Msg (Printf.sprintf "%S is not a finite number%s" s (alternatives names))))
+  in
+  let print ppf = function
+    | `Value v -> Format.pp_print_float ppf v
+    | k -> Format.pp_print_string ppf (fst (List.find (fun (_, k') -> k' = k) keywords))
+  in
+  let docv = String.concat "|" ("FLOAT" :: names) in
+  Arg.(value & opt (some (conv (parse, print))) None & info [ "twist"; "m" ] ~docv ~doc)
+
 let utilization_arg =
   let doc = "Link utilization in (0,1)." in
   let positive =
@@ -589,11 +616,11 @@ let mux_cmd =
     Arg.(value & flag & info [ "is" ] ~doc)
   in
   let twist_arg =
-    let doc =
-      "With $(b,--is): per-source background twisted mean m*; 'sweep' prints the \
-       normalized-variance valley, 'auto' runs the coarse-sweep + golden-section search."
-    in
-    Arg.(value & opt (some string) None & info [ "twist"; "m" ] ~docv:"FLOAT|sweep|auto" ~doc)
+    twist_arg
+      ~keywords:[ ("sweep", `Sweep); ("auto", `Auto) ]
+      ~doc:
+        "With $(b,--is): per-source background twisted mean m*; 'sweep' prints the \
+         normalized-variance valley, 'auto' runs the coarse-sweep + golden-section search."
   in
   let horizon_arg =
     let doc = "With $(b,--is): replication horizon in slots (default: 10 * buffer)." in
@@ -639,7 +666,7 @@ let mux_cmd =
       Format.printf "%a@." Report.pp_estimate e
     in
     match twist with
-    | Some "sweep" ->
+    | Some `Sweep ->
       let twists = List.init 10 (fun i -> 0.5 *. float_of_int (i + 1)) in
       let points = Ss_mux.Mux_is.sweep ?pool ~config ~twists ~replications rng in
       Format.printf "# m*  p  normalized-variance  hits@.";
@@ -650,18 +677,11 @@ let mux_cmd =
         points;
       let best = Valley.best points in
       Format.printf "# best m* = %.1f@." best.Valley.twist
-    | Some "auto" ->
+    | Some `Auto ->
       let best = Ss_mux.Mux_is.auto ?pool ~config ~replications rng in
       print_estimate best.Valley.twist best.Valley.estimate
-    | twist_opt ->
-      let twist =
-        match twist_opt with
-        | None -> 0.0
-        | Some s -> (
-          match float_of_string_opt s with
-          | Some v -> v
-          | None -> invalid_arg (Printf.sprintf "bad twist %S" s))
-      in
+    | (None | Some (`Value _)) as m ->
+      let twist = match m with Some (`Value v) -> v | _ -> 0.0 in
       print_estimate twist (Ss_mux.Mux_is.estimate ?pool (config ~twist) ~replications rng)
   in
   let run path utilization sources slots order synthesis buffer_norm epsilon composite priority
@@ -983,8 +1003,8 @@ let fastsim_cmd =
     Arg.(value & opt (some int) None & info [ "horizon"; "k" ] ~docv:"INT" ~doc)
   in
   let twist_arg =
-    let doc = "Background twisted mean m*; 'sweep' prints the Fig-14 valley instead." in
-    Arg.(value & opt (some string) None & info [ "twist"; "m" ] ~docv:"FLOAT|sweep" ~doc)
+    twist_arg ~keywords:[ ("sweep", `Sweep) ]
+      ~doc:"Background twisted mean m*; 'sweep' prints the Fig-14 valley instead."
   in
   let run path utilization buffer_norm horizon twist replications seed max_lag domains backend
       =
@@ -1015,7 +1035,7 @@ let fastsim_cmd =
         in
         let rng = Rng.create ~seed in
         match twist with
-        | Some "sweep" ->
+        | Some `Sweep ->
           let twists = List.init 10 (fun i -> 0.5 *. float_of_int (i + 1)) in
           let points = Valley.sweep ?pool ~config ~twists ~replications rng in
           Format.printf "# m*  p  normalized-variance  hits@.";
@@ -1026,15 +1046,8 @@ let fastsim_cmd =
             points;
           let best = Valley.best points in
           Format.printf "# best m* = %.1f@." best.Valley.twist
-        | twist_opt ->
-          let twist =
-            match twist_opt with
-            | None -> 0.0
-            | Some s -> (
-              match float_of_string_opt s with
-              | Some v -> v
-              | None -> invalid_arg (Printf.sprintf "bad twist %S" s))
-          in
+        | (None | Some (`Value _)) as m ->
+          let twist = match m with Some (`Value v) -> v | _ -> 0.0 in
           let e = Is.estimate ?pool (config ~twist) ~replications rng in
           Format.printf "uti=%.2f b=%.0f (normalized) k=%d m*=%.2f@." utilization buffer_norm
             horizon twist;

@@ -36,7 +36,7 @@ let fit ?(max_lag = 500) ?knee_candidates ?(attenuation = Quadrature) sizes =
   let acf_points = Timeseries.acf_points sizes ~max_lag in
   let raw_fit = Acf_fit.fit ?knee_candidates ~fixed_beta:beta acf_points in
   (* Marginal: histogram inversion of the empirical distribution. *)
-  let transform = Transform.make (Dist.of_empirical (Empirical.of_data sizes)) in
+  let transform = Transform.of_empirical (Empirical.of_data sizes) in
   (* Step 3: attenuation factor. *)
   let a =
     match attenuation with

@@ -3,9 +3,11 @@ module Pool = Ss_parallel.Pool
 module Fft = Ss_fft.Fft
 
 (* Durbin–Levinson step: given phi_{k-1,.} (in [prev], length k-1),
-   v_{k-1} and r(.), produce phi_{k,.} into [next] (length k) and
-   return v_k. Shared by the table builder and the streaming
-   generator. *)
+   v_{k-1} and r(0..k) tabulated in [r], produce phi_{k,.} into
+   [next] (length k) and return v_k. Shared by the table builder and
+   the streaming generator, which tabulate the ACF once per run: an
+   ACF closure can cost a [**] per call, and a step reads O(k)
+   lags. *)
 let check_phi ~k phi_kk =
   if Float.is_nan phi_kk || abs_float phi_kk >= 1.0 then
     invalid_arg
@@ -13,9 +15,9 @@ let check_phi ~k phi_kk =
          "Hosking: autocorrelation not positive definite at lag %d (phi=%g)" k phi_kk)
 
 let dl_step ~r ~k ~prev ~next ~v_prev =
-  let acc = ref (r k) in
+  let acc = ref r.(k) in
   for j = 1 to k - 1 do
-    acc := !acc -. (prev.(j - 1) *. r (k - j))
+    acc := !acc -. (prev.(j - 1) *. r.(k - j))
   done;
   let phi_kk = !acc /. v_prev in
   check_phi ~k phi_kk;
@@ -42,11 +44,11 @@ let dl_step_pool pool ~r ~k ~prev ~next ~v_prev =
              let jhi = Stdlib.min terms (jlo + dot_chunk - 1) in
              let s = ref 0.0 in
              for j = jlo to jhi do
-               s := !s +. (Array.unsafe_get prev (j - 1) *. r (k - j))
+               s := !s +. (Array.unsafe_get prev (j - 1) *. r.(k - j))
              done;
              !s))
   in
-  let acc = ref (r k) in
+  let acc = ref r.(k) in
   Array.iter (fun p -> acc := !acc -. p) partials;
   let phi_kk = !acc /. v_prev in
   check_phi ~k phi_kk;
@@ -123,7 +125,7 @@ module Table = struct
   let build ~pool ~par_cutoff ~acf ~n =
     if n <= 0 || n > 20_000 then invalid_arg "Hosking.Table.make: n outside [1, 20000]";
     if par_cutoff < 2 then invalid_arg "Hosking.Table.make: par_cutoff < 2";
-    let r = acf.Acf.r in
+    let r = Acf.to_array acf ~n in
     let rows = Array.make (Stdlib.max 0 (n - 1)) [||] in
     let vars = Array.make n 1.0 in
     let sums = Array.make n 0.0 in
@@ -372,6 +374,141 @@ module Block = struct
     done;
     t.k <- t.k + len
 
+  (* --- Same-model lanes ------------------------------------------- *)
+
+  (* [ar_dot] is one serial chain of dependent adds, so a single
+     exact generator leaves most of the FP units idle. Generators
+     that share a table, an order and a position read the same AR row
+     at every slot; [fill_many] runs up to [group] of them side by
+     side, one accumulator per lane, each lane adding its products in
+     [ar_dot]'s j order from 0.0, so every lane's stream is bitwise
+     its generator's own. The lanes' rings are gathered into one
+     interleaved per-domain scratch (position-major: lane l of ring
+     position p at [p * group + l]) and scattered back, so per-source
+     state, RNG draw order and checkpoint bytes are those of [fill]. *)
+  let group = 8
+
+  type lane_scratch = {
+    mutable il : float array;
+    acc : float array;  (* the lanes' conditional means at one slot *)
+    rings : float array array;  (* the lanes' rings during one call *)
+  }
+
+  let lane_key : lane_scratch Domain.DLS.key =
+    Domain.DLS.new_key (fun () ->
+        { il = [||]; acc = Array.make group 0.0; rings = Array.make group [||] })
+
+  let ring_of t =
+    match t.impl with
+    | Seq ring -> ring
+    | Fft_os _ -> invalid_arg "Hosking.Block.fill_many: fft kernel"
+
+  let groupable a b =
+    a != b && a.table == b.table && a.order = b.order && a.k = b.k
+    && match (a.impl, b.impl) with Seq _, Seq _ -> true | _ -> false
+
+  let fill_many ts rngs n buf offs ~len =
+    if n < 1 || n > group || Array.length ts < n || Array.length rngs < n || Array.length offs < n
+    then invalid_arg "Hosking.Block.fill_many: lane count outside [1, group] or arrays too short";
+    let t0 = ts.(0) in
+    ignore (ring_of t0 : float array);
+    for l = 0 to n - 1 do
+      let off = offs.(l) in
+      if len < 0 || off < 0 || off + len > Array.length buf then
+        invalid_arg "Hosking.Block.fill_many: range outside the buffer";
+      for l' = 0 to l - 1 do
+        if not (groupable ts.(l') ts.(l)) then
+          invalid_arg "Hosking.Block.fill_many: generators differ in table, order or position"
+      done
+    done;
+    (* Innovations first, lane by lane: each generator draws its [len]
+       deviates exactly as [fill] would, in lane order. *)
+    for l = 0 to n - 1 do
+      let t = ts.(l) in
+      if Array.length t.scratch < len then t.scratch <- Array.make len 0.0;
+      Rng.fill_gaussian rngs.(l) t.scratch ~off:0 ~len
+    done;
+    let order = t0.order in
+    let width = 2 * order in
+    let sc = Domain.DLS.get lane_key in
+    if Array.length sc.il < width * group then sc.il <- Array.make (width * group) 0.0;
+    let il = sc.il and acc = sc.acc and rings = sc.rings in
+    for l = 0 to n - 1 do
+      rings.(l) <- ring_of ts.(l)
+    done;
+    (* Position-major, so [il] is written sequentially; absent lanes
+       compute on zeros and are never scattered. *)
+    for q = 0 to width - 1 do
+      let b = q * group in
+      for l = 0 to group - 1 do
+        Array.unsafe_set il (b + l)
+          (if l < n then Array.unsafe_get (Array.unsafe_get rings l) q else 0.0)
+      done
+    done;
+    let rows = t0.table.Table.rows in
+    let stds = t0.table.Table.stds in
+    let frozen_row =
+      if Array.length rows >= order then Array.unsafe_get rows (order - 1) else [||]
+    in
+    let frozen_std = Array.unsafe_get stds order in
+    let k0 = t0.k in
+    let p = ref (k0 mod order) in
+    for i = 0 to len - 1 do
+      let kc = k0 + i in
+      let pp = !p in
+      (* Same row, depth and window top as [fill_seq] at this slot. *)
+      let row, depth, top =
+        if kc >= order then (frozen_row, order, if pp = 0 then 2 * order else pp + order)
+        else if kc = 0 then (frozen_row, 0, 0)
+        else (Array.unsafe_get rows (kc - 1), kc, pp + order)
+      in
+      let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+      let a4 = ref 0.0 and a5 = ref 0.0 and a6 = ref 0.0 and a7 = ref 0.0 in
+      let b = ref ((top - 1) * group) in
+      for j = 0 to depth - 1 do
+        let c = Array.unsafe_get row j in
+        let bb = !b in
+        a0 := !a0 +. (c *. Array.unsafe_get il bb);
+        a1 := !a1 +. (c *. Array.unsafe_get il (bb + 1));
+        a2 := !a2 +. (c *. Array.unsafe_get il (bb + 2));
+        a3 := !a3 +. (c *. Array.unsafe_get il (bb + 3));
+        a4 := !a4 +. (c *. Array.unsafe_get il (bb + 4));
+        a5 := !a5 +. (c *. Array.unsafe_get il (bb + 5));
+        a6 := !a6 +. (c *. Array.unsafe_get il (bb + 6));
+        a7 := !a7 +. (c *. Array.unsafe_get il (bb + 7));
+        b := bb - group
+      done;
+      Array.unsafe_set acc 0 !a0;
+      Array.unsafe_set acc 1 !a1;
+      Array.unsafe_set acc 2 !a2;
+      Array.unsafe_set acc 3 !a3;
+      Array.unsafe_set acc 4 !a4;
+      Array.unsafe_set acc 5 !a5;
+      Array.unsafe_set acc 6 !a6;
+      Array.unsafe_set acc 7 !a7;
+      let std = if kc >= order then frozen_std else Array.unsafe_get stds kc in
+      let lo = pp * group and hi = (pp + order) * group in
+      for l = 0 to n - 1 do
+        let t = Array.unsafe_get ts l in
+        let x = Array.unsafe_get acc l +. (std *. Array.unsafe_get t.scratch i) in
+        Array.unsafe_set il (lo + l) x;
+        Array.unsafe_set il (hi + l) x;
+        Array.unsafe_set buf (Array.unsafe_get offs l + i) x
+      done;
+      let pn = pp + 1 in
+      p := if pn = order then 0 else pn
+    done;
+    for q = 0 to width - 1 do
+      let b = q * group in
+      for l = 0 to n - 1 do
+        Array.unsafe_set (Array.unsafe_get rings l) q (Array.unsafe_get il (b + l))
+      done
+    done;
+    for l = 0 to n - 1 do
+      ts.(l).k <- ts.(l).k + len;
+      rings.(l) <- [||]
+    done
+
   (* --- FFT kernel ------------------------------------------------- *)
 
   (* [win] maps sample k to index [hl + k - kp] for the block in
@@ -576,7 +713,7 @@ let generate table rng =
    unchanged. *)
 let generate_stream ~acf ~n rng =
   if n <= 0 then invalid_arg "Hosking.generate_stream: n <= 0";
-  let r = acf.Acf.r in
+  let r = Acf.to_array acf ~n in
   let xs = Array.make n 0.0 in
   xs.(0) <- Rng.gaussian rng;
   let prev = ref (Array.make (Stdlib.max 1 (n - 1)) 0.0) in
@@ -598,7 +735,7 @@ let generate_truncated ~acf ~n ~max_order rng =
   if max_order < 1 then invalid_arg "Hosking.generate_truncated: max_order < 1";
   if n <= max_order then generate_stream ~acf ~n rng
   else begin
-    let r = acf.Acf.r in
+    let r = Acf.to_array acf ~n:(max_order + 1) in
     let xs = Array.make n 0.0 in
     xs.(0) <- Rng.gaussian rng;
     let prev = ref (Array.make max_order 0.0) in

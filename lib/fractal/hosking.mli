@@ -132,6 +132,29 @@ module Block : sig
       @raise Invalid_argument if the range lies outside the
       buffer. *)
 
+  val group : int
+  (** Most generators {!fill_many} advances at once (8). *)
+
+  val groupable : t -> t -> bool
+  (** [groupable a b] holds when [a] and [b] are distinct exact
+      (non-FFT) generators over the physically same table, with the
+      same order and the same number of values produced — the
+      condition for advancing them together with {!fill_many}. *)
+
+  val fill_many :
+    t array -> Ss_stats.Rng.t array -> int -> float array -> int array -> len:int -> unit
+  (** [fill_many ts rngs n buf offs ~len] is, for [l = 0 .. n-1] in
+      that order, [fill ts.(l) rngs.(l) buf ~off:offs.(l) ~len],
+      bitwise — the same values, the same draws from each generator
+      in lane order, the same state afterwards — computed with one
+      accumulator per lane so the [n] AR recursions run side by side.
+      Rings are gathered into and scattered back from a per-domain
+      scratch of [2 * order * group] floats. Zero per-slot
+      allocation. The output ranges must not overlap.
+      @raise Invalid_argument if [n] is outside [1, group], an array
+      holds fewer than [n] entries, a range lies outside [buf], or
+      two of the first [n] generators are not {!groupable}. *)
+
   val save : t -> Ss_checkpoint.W.t -> unit
   val restore : t -> Ss_checkpoint.R.t -> unit
   (** Checkpoint codec: O(order) state (ring or overlap-save window +

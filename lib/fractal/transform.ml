@@ -1,36 +1,71 @@
 module Dist = Ss_stats.Dist
+module Empirical = Ss_stats.Empirical
 module Special = Ss_stats.Special
 module Quad = Ss_stats.Quadrature
 module D = Ss_stats.Descriptive
 
+(* Which CDF [h] evaluates: a variant rather than a closure, so the
+   block path can dispatch once per block to an unboxed loop. *)
+type cdf = Exact | Relaxed
+
 type t = {
   dist : Dist.t;
+  cdf : cdf;
+  sample : Empirical.t option;  (* [Some e] when [dist] is [Dist.of_empirical e] *)
   h : float -> float;
   moments : (float * float) option Atomic.t;  (* memo of [moments], filled on first use *)
 }
 
-let clamp_gauss x = if x > 8.0 then 8.0 else if x < -8.0 then -8.0 else x
+let[@inline] clamp_gauss x = if x > 8.0 then 8.0 else if x < -8.0 then -8.0 else x
 
-let make_with_cdf cdf dist =
+let build cdf sample dist =
+  let phi = match cdf with Exact -> Special.normal_cdf | Relaxed -> Special.normal_cdf_relaxed in
   let h x =
-    let p = cdf (clamp_gauss x) in
+    let p = phi (clamp_gauss x) in
     (* normal_cdf(+-8) is strictly inside (0,1) in double precision,
        so the quantile domain is respected (the relaxed CDF's tail
        term is likewise strictly positive at |x| = 8). *)
     dist.Dist.quantile p
   in
-  { dist; h; moments = Atomic.make None }
+  { dist; cdf; sample; h; moments = Atomic.make None }
 
-let make dist = make_with_cdf Special.normal_cdf dist
+let make dist = build Exact None dist
+let of_empirical e = build Exact (Some e) (Dist.of_empirical e)
 
 (* The fft tier rebuilds [h] over the erf-free CDF; same clamp,
    same quantile, so outputs differ by at most ~7.5e-8 in probability
    before inversion. *)
-let relax t = make_with_cdf Special.normal_cdf_relaxed t.dist
+let relax t = build Relaxed t.sample t.dist
 
 let dist t = t.dist
 let apply1 t x = t.h x
-let apply t xs = Array.map t.h xs
+
+(* [h] over a block in three in-place passes: clamp, CDF, quantile.
+   Each pass is the per-element arithmetic of [h], so the block equals
+   [apply1] element by element. The clamp keeps every probability
+   strictly inside (0,1), where [Dist.of_empirical]'s quantile is
+   [Empirical.quantile]; that case runs unboxed. *)
+let apply_into t xs ~off ~len =
+  if off < 0 || len < 0 || off > Array.length xs - len then
+    invalid_arg "Transform.apply_into: range outside the array";
+  for j = off to off + len - 1 do
+    Array.unsafe_set xs j (clamp_gauss (Array.unsafe_get xs j))
+  done;
+  (match t.cdf with
+  | Exact -> Special.normal_cdf_into xs ~off ~len
+  | Relaxed -> Special.normal_cdf_relaxed_into xs ~off ~len);
+  match t.sample with
+  | Some e -> Empirical.quantile_into e xs ~off ~len
+  | None ->
+    let q = t.dist.Dist.quantile in
+    for j = off to off + len - 1 do
+      Array.unsafe_set xs j (q (Array.unsafe_get xs j))
+    done
+
+let apply t xs =
+  let ys = Array.copy xs in
+  apply_into t ys ~off:0 ~len:(Array.length ys);
+  ys
 
 let quad_n = 128
 

@@ -21,6 +21,11 @@ val make : Ss_stats.Dist.t -> t
     +-8 standard deviations before inversion so extreme deviates stay
     inside the quantile's (0,1) domain. *)
 
+val of_empirical : Ss_stats.Empirical.t -> t
+(** [make (Dist.of_empirical e)]: histogram inversion of a sample, the
+    paper's transform. Same values as {!make}; {!apply_into} inverts
+    it without allocation. *)
+
 val relax : t -> t
 (** The relaxed twin of a transform: the same clamp and target
     quantile, but [Phi] evaluated by the erf-free
@@ -37,6 +42,15 @@ val apply1 : t -> float -> float
 
 val apply : t -> float array -> float array
 (** Map a whole background path to the foreground process. *)
+
+val apply_into : t -> float array -> off:int -> len:int -> unit
+(** [apply_into t xs ~off ~len] replaces each [xs.(i)], for [i] in
+    [off .. off+len-1], by [apply1 t xs.(i)], bitwise. The CDF runs
+    as a block ({!Ss_stats.Special.normal_cdf_into}, or its relaxed
+    twin), and an {!of_empirical} quantile is inlined, so neither
+    allocates per element; other targets call their quantile per
+    element. @raise Invalid_argument if the range lies outside
+    [xs]. *)
 
 val moments : t -> float * float
 (** [(E h(X), Var h(X))] by 128-point Gauss–Hermite quadrature, the

@@ -348,17 +348,20 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   let cbuf = Array.make (sstride * n) 0 in
   let wrow = Array.make (block * rstride) 0.0 in
   let crow = Array.make (block * rstride) 0 in
+  (* Slots each source filled in the current block; written by the
+     owning shard only. *)
+  let filled_by = Array.make n 0 in
   (* A source whose block pull comes up short (the block analogue of
      raising [Source.End_of_stream]) departs cleanly: it contributes
      zero work in class 0 from that slot on. *)
-  let fill_source t0 bs i =
+  let settle_source t0 bs i =
     let off = i * sstride in
     if departed.(i) then begin
       Array.fill wbuf off bs 0.0;
       Array.fill cbuf off bs 0
     end
     else
-      let f = Source.next_block sources.(i) wbuf cbuf ~off ~len:bs in
+      let f = filled_by.(i) in
       if f < bs then begin
         departed.(i) <- true;
         departed_at.(i) <- t0 + f;
@@ -394,12 +397,15 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
        sources at a time so the scan and the transpose read the
        freshly staged segments while they are still cache-hot,
        instead of sweeping the whole multi-megabyte stage cold three
-       times per block. *)
+       times per block. One [Source.next_blocks] call pulls the tile,
+       advancing runs of same-model exact sources side by side. *)
     let i0 = ref lo in
     while !i0 < hi do
       let i1 = Stdlib.min hi (!i0 + tile) in
+      Source.next_blocks sources ~lo:!i0 ~hi:i1 ~skip:departed wbuf cbuf ~stride:sstride ~len:bs
+        ~filled:filled_by;
       for i = !i0 to i1 - 1 do
-        fill_source t0 bs i
+        settle_source t0 bs i
       done;
       for i = !i0 to i1 - 1 do
         let off = i * sstride in

@@ -38,8 +38,14 @@ let make_config ~model ~sources ?(order = 256) ?(backend = `Hosking) ~service ~b
        streaming likelihood needs per-step Hosking innovations); use the default `Hosking \
        backend");
   if sources <= 0 then invalid_arg "Mux_is.make_config: sources <= 0";
-  if service <= 0.0 then invalid_arg "Mux_is.make_config: service <= 0";
-  if buffer < 0.0 then invalid_arg "Mux_is.make_config: buffer < 0";
+  (* NaN passes every unguarded bound test: a NaN buffer is never
+     crossed and a NaN twist zeroes every slot as corrupt, so both
+     would estimate p = 0 without an error. *)
+  if not (Float.is_finite service && service > 0.0) then
+    invalid_arg "Mux_is.make_config: service must be finite and > 0";
+  if not (Float.is_finite buffer && buffer >= 0.0) then
+    invalid_arg "Mux_is.make_config: buffer must be finite and >= 0";
+  if not (Float.is_finite twist) then invalid_arg "Mux_is.make_config: twist must be finite";
   if slots <= 0 then invalid_arg "Mux_is.make_config: slots <= 0";
   let profile = match profile with Some p -> p | None -> Twist.constant twist in
   let scales =
@@ -50,7 +56,8 @@ let make_config ~model ~sources ?(order = 256) ?(backend = `Hosking) ~service ~b
         invalid_arg "Mux_is.make_config: scales length <> sources";
       Array.iter
         (fun v ->
-          if Float.is_nan v || v < 0.0 then invalid_arg "Mux_is.make_config: negative scale")
+          if not (Float.is_finite v && v >= 0.0) then
+            invalid_arg "Mux_is.make_config: scale must be finite and >= 0")
         s;
       Array.copy s
   in

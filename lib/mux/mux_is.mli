@@ -31,15 +31,16 @@ type config = {
   model : Ss_core.Model.t;  (** unified model, one per source *)
   sources : int;  (** N, > 0 *)
   order : int;  (** truncated-Hosking exact depth / frozen AR order *)
-  service : float;  (** aggregate service per slot, > 0 *)
-  buffer : float;  (** overflow threshold on the shared queue, >= 0 *)
+  service : float;  (** aggregate service per slot, finite and > 0 *)
+  buffer : float;  (** overflow threshold on the shared queue, finite and >= 0 *)
   slots : int;  (** horizon (slots per replication), > 0 *)
-  twist : float;  (** per-source background mean shift (0 = plain MC) *)
+  twist : float;  (** per-source background mean shift, finite (0 = plain MC) *)
   profile : Ss_fastsim.Twist.t;
       (** the actual shared per-slot shift; [Twist.constant twist]
           unless supplied explicitly *)
   scales : float array;
-      (** per-source multipliers on the shared profile (length N) *)
+      (** per-source multipliers on the shared profile (length N, each
+          finite and >= 0) *)
   plans : Ss_fastsim.Likelihood.plan array;
       (** per-source likelihood plans (shared across replications;
           sources with equal scales share one plan) *)

@@ -35,6 +35,11 @@ type ckpt = { ck_save : Ss_checkpoint.W.t -> unit; ck_restore : Ss_checkpoint.R.
     state, [ck_restore] overwrites it in place such that the stream
     continues bit-for-bit from the saved slot. *)
 
+type lane
+(** The state an exact-Hosking {!of_model} source shares with its
+    block pull, so that {!next_blocks} can advance it as one lane of
+    a same-model group. Opaque. *)
+
 type t = {
   name : string;
   mean : float;  (** nominal per-slot mean arrival (model bookkeeping) *)
@@ -55,6 +60,11 @@ type t = {
           not supply one (such sources refuse {!save}). All built-in
           constructors except the importance-sampling variants
           provide it. *)
+  lane : lane option;
+      (** [Some] only on exact-kernel, [`Hosking]-backed {!of_model}
+          sources, [None] from {!make}. {!next_blocks} uses it only
+          while [pull_block] is still the one {!of_model} built, so a
+          copy [{ s with pull_block = f }] always runs [f]. *)
 }
 
 type backend = [ `Hosking | `Davies_harte ]
@@ -132,6 +142,35 @@ val next : t -> float * int
 val next_block : t -> float array -> int array -> off:int -> len:int -> int
 (** [next_block t wbuf cbuf ~off ~len] is
     [t.pull_block wbuf cbuf off len]. *)
+
+val next_blocks :
+  t array ->
+  lo:int ->
+  hi:int ->
+  skip:bool array ->
+  float array ->
+  int array ->
+  stride:int ->
+  len:int ->
+  filled:int array ->
+  unit
+(** [next_blocks sources ~lo ~hi ~skip wbuf cbuf ~stride ~len ~filled]
+    is, for each [i] in [lo .. hi-1] in order with [not skip.(i)],
+    [filled.(i) <- next_block sources.(i) wbuf cbuf ~off:(i * stride)
+    ~len] — bitwise, including every source's state and the order of
+    draws from shared generators. Skipped entries of [filled] are left
+    as they are.
+
+    On blocks of 32 slots or more, maximal runs of consecutive
+    sources that carry a {!lane}, whose [pull_block] is still their
+    own, whose horizon covers [len] slots and whose generators are
+    {!Ss_fractal.Hosking.Block.groupable}
+    (same table, order and position) advance together through
+    {!Ss_fractal.Hosking.Block.fill_many}, up to
+    {!Ss_fractal.Hosking.Block.group} at a time, each member drawing
+    its innovations in source order; every other source runs its own
+    [pull_block]. The ranges [i * stride .. i * stride + len - 1] must
+    lie inside both buffers and not overlap. Allocates nothing. *)
 
 val of_array : ?name:string -> ?hurst:float -> ?cycle:bool -> float array -> t
 (** Replay a materialized arrival array (e.g. a loaded trace) slot by

@@ -29,9 +29,10 @@ let count_le t x =
 
 let cdf t x = float_of_int (count_le t x) /. float_of_int (size t)
 
-let quantile t p =
+(* Type-7 interpolation between order statistics; inlined so the
+   block form below passes no boxed float. *)
+let[@inline] interpolate a p =
   if p < 0.0 || p > 1.0 then invalid_arg "Empirical.quantile: p outside [0,1]";
-  let a = t.sorted in
   let n = Array.length a in
   if n = 1 then a.(0)
   else begin
@@ -41,6 +42,15 @@ let quantile t p =
     let frac = h -. float_of_int i in
     a.(i) +. (frac *. (a.(i + 1) -. a.(i)))
   end
+
+let quantile t p = interpolate t.sorted p
+
+let quantile_into t xs ~off ~len =
+  if off < 0 || len < 0 || off > Array.length xs - len then
+    invalid_arg "Empirical.quantile_into: range outside the array";
+  for j = off to off + len - 1 do
+    Array.unsafe_set xs j (interpolate t.sorted (Array.unsafe_get xs j))
+  done
 
 let qq a b ~n =
   if n <= 0 then invalid_arg "Empirical.qq: n <= 0";

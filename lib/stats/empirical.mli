@@ -25,6 +25,13 @@ val quantile : t -> float -> float
     maximum; intermediate values are continuous and non-decreasing in
     [p]. @raise Invalid_argument if [p] outside [0,1]. *)
 
+val quantile_into : t -> float array -> off:int -> len:int -> unit
+(** [quantile_into t xs ~off ~len] replaces each [xs.(i)], for [i] in
+    [off .. off+len-1], by [quantile t xs.(i)], bitwise and without
+    allocation. @raise Invalid_argument if the range lies outside
+    [xs] or a probability lies outside [0,1] (elements before it are
+    already replaced). *)
+
 val mean : t -> float
 
 val variance : t -> float

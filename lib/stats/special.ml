@@ -155,8 +155,9 @@ let erf_series x =
 
 (* Continued fraction for erfc at x >= 2, evaluated by backward
    recurrence of the Laplace CF:
-   erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...))))) *)
-let erfc_cf x =
+   erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...)))))
+   Inlined so the block CDF below calls it without boxing. *)
+let[@inline] erfc_cf x =
   let f = ref 0.0 in
   let depth = 60 + int_of_float (200.0 /. x) in
   for k = depth downto 1 do
@@ -174,8 +175,99 @@ let erf x =
 
 (* --- normal distribution helpers --- *)
 
-let normal_pdf x = exp ((-0.5 *. x *. x) -. log_sqrt_2pi)
+let[@inline] normal_pdf x = exp ((-0.5 *. x *. x) -. log_sqrt_2pi)
 let normal_cdf x = 0.5 *. erfc (-.x /. sqrt_2)
+
+let check_range who xs ~off ~len =
+  if off < 0 || len < 0 || off > Array.length xs - len then
+    invalid_arg ("Special." ^ who ^ ": range outside the array")
+
+(* [normal_cdf] over a block, in place, four elements at a time. The
+   erf series has two dependent divisions per term, so one evaluation
+   is a serial chain that leaves the divider mostly idle; four lanes
+   run four independent chains through one loop. Each lane performs
+   exactly the scalar operation sequence of [erfc]/[erf_series]
+   (same terms, same stopping test, same 200-term cap) and retires
+   when its own test fires, so every result is bitwise
+   [normal_cdf]'s. Arguments with |y| >= 2 take the continued
+   fraction and NaN the scalar function, as [erfc_pos] does. Every
+   lane variable is a local float, so nothing is allocated. *)
+let lanes = 4
+
+(* Finish lane [j]: [y] is the argument of [erfc], [z] that of
+   [erfc_pos] and [s] the lane's series sum (unused unless z < 2). *)
+let[@inline] cdf_lane xs j y z s =
+  let p =
+    if z < 2.0 then
+      let e = 1.0 -. (2.0 /. sqrt_pi *. s) in
+      0.5 *. (if y < 0.0 then 2.0 -. e else e)
+    else if Float.is_nan z then normal_cdf (Array.unsafe_get xs j)
+    else
+      let e = erfc_cf z in
+      0.5 *. (if y < 0.0 then 2.0 -. e else e)
+  in
+  Array.unsafe_set xs j p
+
+let normal_cdf_into xs ~off ~len =
+  check_range "normal_cdf_into" xs ~off ~len;
+  let stop = off + len in
+  let b = ref off in
+  while !b < stop do
+    let j0 = !b in
+    let m = stop - j0 in
+    (* Lane l holds element j0 + l when l < m; absent lanes are
+       inactive from the start and never written. *)
+    let y0 = -.Array.unsafe_get xs j0 /. sqrt_2 in
+    let y1 = if m > 1 then -.Array.unsafe_get xs (j0 + 1) /. sqrt_2 else 0.0 in
+    let y2 = if m > 2 then -.Array.unsafe_get xs (j0 + 2) /. sqrt_2 else 0.0 in
+    let y3 = if m > 3 then -.Array.unsafe_get xs (j0 + 3) /. sqrt_2 else 0.0 in
+    let z0 = if y0 < 0.0 then -.y0 else y0 in
+    let z1 = if y1 < 0.0 then -.y1 else y1 in
+    let z2 = if y2 < 0.0 then -.y2 else y2 in
+    let z3 = if y3 < 0.0 then -.y3 else y3 in
+    let a0 = ref (z0 < 2.0) in
+    let a1 = ref (m > 1 && z1 < 2.0) in
+    let a2 = ref (m > 2 && z2 < 2.0) in
+    let a3 = ref (m > 3 && z3 < 2.0) in
+    let q0 = z0 *. z0 and q1 = z1 *. z1 and q2 = z2 *. z2 and q3 = z3 *. z3 in
+    let t0 = ref z0 and t1 = ref z1 and t2 = ref z2 and t3 = ref z3 in
+    let s0 = ref z0 and s1 = ref z1 and s2 = ref z2 and s3 = ref z3 in
+    let n = ref 0 in
+    while (!a0 || !a1 || !a2 || !a3) && !n < 200 do
+      incr n;
+      let nf = float_of_int !n in
+      let d = (2.0 *. nf) +. 1.0 in
+      if !a0 then begin
+        t0 := !t0 *. (-.q0) /. nf;
+        let add = !t0 /. d in
+        s0 := !s0 +. add;
+        if abs_float add < 1e-17 *. abs_float !s0 then a0 := false
+      end;
+      if !a1 then begin
+        t1 := !t1 *. (-.q1) /. nf;
+        let add = !t1 /. d in
+        s1 := !s1 +. add;
+        if abs_float add < 1e-17 *. abs_float !s1 then a1 := false
+      end;
+      if !a2 then begin
+        t2 := !t2 *. (-.q2) /. nf;
+        let add = !t2 /. d in
+        s2 := !s2 +. add;
+        if abs_float add < 1e-17 *. abs_float !s2 then a2 := false
+      end;
+      if !a3 then begin
+        t3 := !t3 *. (-.q3) /. nf;
+        let add = !t3 /. d in
+        s3 := !s3 +. add;
+        if abs_float add < 1e-17 *. abs_float !s3 then a3 := false
+      end
+    done;
+    cdf_lane xs j0 y0 z0 !s0;
+    if m > 1 then cdf_lane xs (j0 + 1) y1 z1 !s1;
+    if m > 2 then cdf_lane xs (j0 + 2) y2 z2 !s2;
+    if m > 3 then cdf_lane xs (j0 + 3) y3 z3 !s3;
+    b := j0 + lanes
+  done
 
 (* Erf-free fast normal CDF: Abramowitz & Stegun 26.2.17, a degree-5
    polynomial in t = 1/(1 + 0.2316419 |x|) times the normal density,
@@ -184,7 +276,7 @@ let normal_cdf x = 0.5 *. erfc (-.x /. sqrt_2)
    [erfc] — this is the fft tier's hot-path CDF for the marginal
    transform, where 1e-7 absolute error in the probability is far
    below the statistical gates' resolution. *)
-let normal_cdf_relaxed x =
+let[@inline] normal_cdf_relaxed x =
   let ax = abs_float x in
   let t = 1.0 /. (1.0 +. (0.2316419 *. ax)) in
   let poly =
@@ -196,6 +288,12 @@ let normal_cdf_relaxed x =
   in
   let tail = normal_pdf ax *. poly in
   if x >= 0.0 then 1.0 -. tail else tail
+
+let normal_cdf_relaxed_into xs ~off ~len =
+  check_range "normal_cdf_relaxed_into" xs ~off ~len;
+  for j = off to off + len - 1 do
+    Array.unsafe_set xs j (normal_cdf_relaxed (Array.unsafe_get xs j))
+  done
 
 (* Acklam's inverse normal CDF approximation. *)
 let acklam p =

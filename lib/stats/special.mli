@@ -41,11 +41,24 @@ val gamma_q : float -> float -> float
 val normal_cdf : float -> float
 (** Standard normal cumulative distribution [Phi(x)]. *)
 
+val normal_cdf_into : float array -> off:int -> len:int -> unit
+(** [normal_cdf_into xs ~off ~len] replaces each [xs.(i)], for [i] in
+    [off .. off+len-1], by [normal_cdf xs.(i)], bitwise. The erf
+    series runs four elements at a time, each lane performing exactly
+    the scalar operation sequence; arguments past the series range and
+    NaN take the scalar path. Allocates nothing on finite inputs.
+    @raise Invalid_argument if the range lies outside [xs]. *)
+
 val normal_cdf_relaxed : float -> float
 (** Fast approximate [Phi(x)]: Abramowitz & Stegun 26.2.17 (erf-free,
     one [exp] plus a degree-5 polynomial), absolute error below
     [7.5e-8] everywhere. The FFT kernel tier's hot-path CDF; exact
     paths keep {!normal_cdf} so committed fixtures stay bitwise. *)
+
+val normal_cdf_relaxed_into : float array -> off:int -> len:int -> unit
+(** {!normal_cdf_relaxed} over [xs.(off .. off+len-1)], in place and
+    without allocation. @raise Invalid_argument if the range lies
+    outside [xs]. *)
 
 val normal_pdf : float -> float
 (** Standard normal density [phi(x)]. *)

@@ -12,7 +12,7 @@ type t = {
 }
 
 let transform_of_sizes sizes =
-  Transform.make (Dist.of_empirical (Empirical.of_data sizes))
+  Transform.of_empirical (Empirical.of_data sizes)
 
 let of_trace trace =
   let need kind =

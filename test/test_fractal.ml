@@ -280,6 +280,81 @@ let test_hosking_block_matches_truncated () =
   raises_invalid "order outside table" (fun () ->
       Hosking.Block.create ~table ~order:(order + 1) ())
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let block_bytes b =
+  let w = Ss_checkpoint.W.create () in
+  Hosking.Block.save b w;
+  Ss_checkpoint.W.contents w
+
+let test_hosking_fill_many_matches_fill () =
+  (* [fill_many] over n generators is [fill] on each in lane order:
+     the same values, the same state (checkpoint bytes) and the same
+     draws from each generator, at every split of the stream — across
+     the pre-steady-state rows and the ring wrap. Lanes 0 and 1 share
+     one generator, so the lane order of the draws is pinned too. *)
+  let acf = Acf.fgn ~h:0.8 in
+  List.iter
+    (fun order ->
+      let table = Hosking.Table.make ~acf ~n:(order + 1) in
+      List.iter
+        (fun n ->
+          let mk () = Array.init n (fun _ -> Hosking.Block.create ~table ~order ()) in
+          let rngs () =
+            let shared = Rng.create ~seed:900 in
+            Array.init n (fun l -> if l < 2 then shared else Rng.create ~seed:(900 + l))
+          in
+          let a = mk () and ra = rngs () and b = mk () and rb = rngs () in
+          List.iter
+            (fun len ->
+              let stride = len + 3 in
+              let bufa = Array.make (n * stride) 0.5 and bufb = Array.make (n * stride) 0.5 in
+              for l = 0 to n - 1 do
+                Hosking.Block.fill a.(l) ra.(l) bufa ~off:(l * stride) ~len
+              done;
+              Hosking.Block.fill_many b rb n bufb (Array.init n (fun l -> l * stride)) ~len;
+              Array.iteri
+                (fun i x ->
+                  if not (same_bits x bufb.(i)) then
+                    Alcotest.failf "order=%d n=%d len=%d: element %d differs" order n len i)
+                bufa;
+              for l = 0 to n - 1 do
+                if not (String.equal (block_bytes a.(l)) (block_bytes b.(l))) then
+                  Alcotest.failf "order=%d n=%d len=%d: lane %d state differs" order n len l;
+                if Rng.bits64 (Rng.copy ra.(l)) <> Rng.bits64 (Rng.copy rb.(l)) then
+                  Alcotest.failf "order=%d n=%d len=%d: lane %d draws differ" order n len l
+              done)
+            [ 1; 3; 7; 16; 600; 5; 1024; 2 ])
+        [ 1; 2; 5; 8 ])
+    [ 1; 2; 16; 512; 600 ]
+
+let test_hosking_fill_many_invalid () =
+  let acf = Acf.fgn ~h:0.8 in
+  let table = Hosking.Table.make ~acf ~n:17 in
+  let other = Hosking.Table.make ~acf ~n:17 in
+  let blk ?(table = table) () = Hosking.Block.create ~table ~order:16 () in
+  let rng = Rng.create ~seed:1 in
+  let buf = Array.make 64 0.0 in
+  let run ts ?(n = Array.length ts) ?(offs = Array.init n (fun l -> l * 8)) ?(len = 8) () =
+    Hosking.Block.fill_many ts (Array.make n rng) n buf offs ~len
+  in
+  let a = blk () in
+  raises_invalid "no lanes" (fun () -> run [| a |] ~n:0 ());
+  raises_invalid "more than group" (fun () -> run (Array.init 9 (fun _ -> blk ())) ~len:1 ());
+  raises_invalid "same generator twice" (fun () -> run [| a; a |] ());
+  raises_invalid "different tables" (fun () -> run [| blk (); blk ~table:other () |] ());
+  let ahead = blk () in
+  Hosking.Block.fill ahead rng buf ~off:0 ~len:1;
+  raises_invalid "different positions" (fun () -> run [| blk (); ahead |] ());
+  let fft =
+    Hosking.Block.create ~fft_plan:(Hosking.Fft_plan.make ~table ~order:16) ~table ~order:16 ()
+  in
+  raises_invalid "fft kernel" (fun () -> run [| fft |] ());
+  raises_invalid "range outside the buffer" (fun () ->
+      run [| blk (); blk () |] ~offs:[| 0; 60 |] ());
+  Alcotest.(check bool) "groupable" true (Hosking.Block.groupable (blk ()) (blk ()));
+  Alcotest.(check bool) "not with itself" false (Hosking.Block.groupable a a)
+
 (* ------------------------------------------------------------------ *)
 (* Relaxed arithmetic: the reassociated dot kernel. The FFT kernel runs
    it on its sequential lags, so at order <= Fft_plan.partition (no lag
@@ -847,6 +922,102 @@ let test_transform_relax_close () =
   if not (Transform.dist relaxed == Transform.dist exact) then
     Alcotest.fail "relax must keep the marginal distribution"
 
+(* Inputs for the block transform: a dense grid over [-8, 8], N(0,1)
+   draws, and the edges (signed zeros, both sides of the CDF's series
+   switch at |x| = 2 sqrt 2, +-8 and beyond, subnormals, NaN). *)
+let transform_inputs () =
+  let rng = Rng.create ~seed:171 in
+  let switch = 2.0 *. sqrt 2.0 in
+  Array.concat
+    [
+      [|
+        0.0; -0.0; switch; -.switch; Float.pred switch; Float.succ switch; 8.0; -8.0; 9.5;
+        -9.5; 4e-320; -4e-320; nan;
+      |];
+      Array.init 4096 (fun _ -> Rng.gaussian rng);
+      Array.init 8001 (fun i -> -8.0 +. (float_of_int i /. 500.0));
+    ]
+
+let test_transform_apply_into_bitwise () =
+  (* [apply_into] is [apply1] element by element, bitwise: exact and
+     relaxed CDFs, over the inlined empirical quantile and over a
+     closure quantile; every offset and length 0..9, then 2048-element
+     blocks; nothing outside the block is touched. *)
+  let rng = Rng.create ~seed:172 in
+  let emp = Ss_stats.Empirical.of_data (Array.init 777 (fun _ -> Rng.exponential rng ~rate:0.1)) in
+  let xs = transform_inputs () in
+  let check name t =
+    let run xs off len =
+      let buf = Array.copy xs in
+      Transform.apply_into t buf ~off ~len;
+      Array.iteri
+        (fun i y ->
+          let want = if i >= off && i < off + len then Transform.apply1 t xs.(i) else xs.(i) in
+          if not (same_bits want y) then
+            Alcotest.failf "%s: off=%d len=%d x=%h: got %h, want %h" name off len xs.(i) y want)
+        buf
+    in
+    let head = Array.sub xs 0 24 in
+    for off = 0 to 9 do
+      for len = 0 to 9 do
+        run head off len
+      done
+    done;
+    let off = ref 0 in
+    while !off < Array.length xs do
+      run xs !off (Stdlib.min 2048 (Array.length xs - !off));
+      off := !off + 2048
+    done;
+    let ys = Transform.apply t xs in
+    Array.iteri
+      (fun i y ->
+        if not (same_bits (Transform.apply1 t xs.(i)) y) then
+          Alcotest.failf "%s: apply differs at %d" name i)
+      ys
+  in
+  let empirical = Transform.of_empirical emp in
+  let gamma = Transform.make (Dist.gamma ~shape:2.0 ~scale:3.0) in
+  check "empirical exact" empirical;
+  check "empirical relaxed" (Transform.relax empirical);
+  check "gamma exact" gamma;
+  check "gamma relaxed" (Transform.relax gamma);
+  (* [of_empirical] is [make] over the same sample. *)
+  let made = Transform.make (Dist.of_empirical emp) in
+  Array.iter
+    (fun x ->
+      if not (same_bits (Transform.apply1 made x) (Transform.apply1 empirical x)) then
+        Alcotest.failf "of_empirical differs from make at %h" x)
+    xs;
+  raises_invalid "range" (fun () -> Transform.apply_into empirical [| 0.0 |] ~off:1 ~len:1)
+
+let test_fill_many_apply_into_no_alloc () =
+  (* The grouped exact slot — eight lanes of the AR kernel, then the
+     block transform over an empirical marginal — allocates nothing
+     once the per-domain and per-generator scratch exists. *)
+  let rng = Rng.create ~seed:173 in
+  let t =
+    Transform.of_empirical (Ss_stats.Empirical.of_data (Array.init 4096 (fun _ -> Rng.float rng)))
+  in
+  let order = 512 and n = Hosking.Block.group and len = 2048 in
+  let table = Hosking.Table.make ~acf:(Acf.fgn ~h:0.8) ~n:(order + 1) in
+  let ts = Array.init n (fun _ -> Hosking.Block.create ~table ~order ()) in
+  let rngs = Array.init n (fun l -> Rng.create ~seed:(174 + l)) in
+  let buf = Array.make (n * len) 0.0 in
+  let offs = Array.init n (fun l -> l * len) in
+  let step () =
+    Hosking.Block.fill_many ts rngs n buf offs ~len;
+    for l = 0 to n - 1 do
+      Transform.apply_into t buf ~off:offs.(l) ~len
+    done
+  in
+  step ();
+  let w0 = Gc.minor_words () in
+  step ();
+  step ();
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0.0 then
+    Alcotest.failf "%d grouped slots allocated %.0f minor words" (2 * n * len) words
+
 let test_attenuation_identity_is_one () =
   (* A linear transform attenuates nothing. *)
   let t = Transform.make (Dist.normal ~mean:5.0 ~std:3.0) in
@@ -1227,6 +1398,8 @@ let () =
           tc "truncated prefix exact" test_hosking_truncated_prefix_exact;
           tc "truncated acf close" test_hosking_truncated_acf_close;
           tc "block kernel = truncated" test_hosking_block_matches_truncated;
+          tc "fill_many = fill, bitwise" test_hosking_fill_many_matches_fill;
+          tc "fill_many invalid" test_hosking_fill_many_invalid;
         ] );
       ( "relaxed-tier",
         [
@@ -1280,6 +1453,8 @@ let () =
           tc "monotone" test_transform_monotone;
           tc "clamps extremes" test_transform_clamps_extremes;
           tc "relax close to exact" test_transform_relax_close;
+          tc "apply_into = apply1, bitwise" test_transform_apply_into_bitwise;
+          tc "fill_many + apply_into allocate nothing" test_fill_many_apply_into_no_alloc;
           tc "attenuation of linear is 1" test_attenuation_identity_is_one;
           tc "moments memo" test_transform_moments;
           tc "attenuation in (0,1]" test_attenuation_in_unit_interval;

@@ -1554,6 +1554,194 @@ let test_mux_sharded_probe_dispatch () =
       ignore (Mux.run ~shards:0 ~service ~slots (shard_sources ~n ~seed:800)))
 
 (* ------------------------------------------------------------------ *)
+(* Grouped exact synthesis: same-model sources advanced side by side     *)
+(* ------------------------------------------------------------------ *)
+
+(* The same source behind a fresh [Source.make] record: same pulls,
+   same state, but no lane, so [Source.next_blocks] never groups it.
+   The per-source reference for every grouped run. *)
+let per_source (s : Source.t) =
+  Source.make ~pull_block:s.Source.pull_block ?ckpt:s.Source.ckpt ~name:s.Source.name
+    ~mean:s.Source.mean ~sigma2:s.Source.sigma2 ~hurst:s.Source.hurst s.Source.pull
+
+let second_model =
+  lazy (Ss_core.Model.with_background (Lazy.force small_model) (Acf.fgn ~h:0.7))
+
+(* [pattern.(i)] picks source i: 'a'/'b' exact model sources of two
+   models (own substream each), 'h' a model-'a' source departing at
+   [horizon], 's' a model-'a' source on the shared generator, 'c' a
+   custom pull drawing from that same generator, 'w' a model-'a'
+   source behind a [{ s with pull_block }] wrapper that counts its
+   slots into [counts]. *)
+let grouped_sources ?(horizon = 1) ?counts ~order ~seed pattern =
+  let rng = Rng.create ~seed in
+  let shared = Rng.split rng in
+  let a = Lazy.force small_model in
+  let mean = a.Ss_core.Model.mean in
+  Array.of_list
+    (List.mapi
+       (fun i kind ->
+         let name = Printf.sprintf "g%02d" i in
+         let sub = Rng.split rng in
+         match kind with
+         | 'b' -> Source.of_model ~name ~order (Lazy.force second_model) sub
+         | 'h' -> Source.of_model ~name ~order ~horizon a sub
+         | 's' -> Source.of_model ~name ~order a shared
+         | 'c' ->
+           (* Its only state is the shared generator, which the 's'
+              sources' snapshots carry. *)
+           let ckpt = { Source.ck_save = (fun _ -> ()); ck_restore = (fun _ -> ()) } in
+           Source.make ~ckpt ~name ~mean ~sigma2:1.0 ~hurst:0.5 (fun () ->
+               (mean *. exp (0.1 *. Rng.gaussian shared), 0))
+         | 'w' ->
+           let s = Source.of_model ~name ~order a sub in
+           let pull_block w c off len =
+             let f = s.Source.pull_block w c off len in
+             Option.iter (fun k -> k.(i) <- k.(i) + f) counts;
+             f
+           in
+           { s with Source.pull_block }
+         | _ -> Source.of_model ~name ~order a sub)
+       (List.of_seq (String.to_seq pattern)))
+
+let run_grouped ?pool ?shards ?every ~slots sources =
+  let mean = (Lazy.force small_model).Ss_core.Model.mean in
+  let n = Array.length sources in
+  (* A no-op checkpoint hook caps the staging block at [every] slots,
+     so a run spans several blocks (and ring wraps) at any n. *)
+  let checkpoint = Option.map (fun every -> { Mux.every; save = (fun ~slot:_ _ -> ()) }) every in
+  Mux.run ?pool ?shards ?checkpoint ~buffer:(3.0 *. mean) ~thresholds:[ mean ]
+    ~service:(float_of_int n *. mean /. 0.9) ~slots sources
+
+let check_grouped label ?pool ?shards ?every ~slots mk =
+  let want = run_grouped ~slots ?every (Array.map per_source (mk ())) in
+  let got = run_grouped ?pool ?shards ?every ~slots (mk ()) in
+  if not (Mux.equal_report want got) then Alcotest.failf "%s: grouped run differs" label
+
+let test_mux_grouped_matches_per_source () =
+  (* Same-model exact sources advanced side by side are the per-source
+     path bitwise: at group sizes below, at and above [group] and
+     across several tiles, at orders where every slot is pre-steady
+     state, where the ring wraps, and in between. *)
+  List.iter
+    (fun order ->
+      List.iter
+        (fun n ->
+          let mk () = grouped_sources ~order ~seed:(500 + n) (String.make n 'a') in
+          check_grouped (Printf.sprintf "n=%d order=%d" n order) ~every:97 ~slots:700 mk)
+        [ 1; 7; 8; 9; 17; 37; 64 ])
+    [ 1; 16; 512 ];
+  (* A horizon ending mid-block leaves the grouped path for its last
+     block; two models interleaved in one tile form only same-table
+     groups; a custom pull sharing a model source's generator keeps
+     its place in the draw order; a wrapped source runs its wrapper. *)
+  List.iter
+    (fun pattern ->
+      let counts = Array.make (String.length pattern) 0 in
+      let mk () = grouped_sources ~horizon:250 ~counts ~order:16 ~seed:77 pattern in
+      Array.fill counts 0 (Array.length counts) 0;
+      check_grouped pattern ~every:100 ~slots:600 mk;
+      String.iteri
+        (fun i k ->
+          if k = 'w' && counts.(i) <> 2 * 600 then
+            Alcotest.failf "%s: wrapper of source %d saw %d slots" pattern i counts.(i))
+        pattern)
+    [
+      "aahaahahaaaaaaaahhhhhhhhhhaa";
+      "aaaabbbbaaaaaaaaabbbbbbbbbbaaab";
+      "abababababababab";
+      "aasaacaaaaaaasaaaaaaaac";
+      "asasaacsassaasaaac";
+      "aaawaaaaaaaaawaaaa";
+    ]
+
+let test_mux_grouped_layouts () =
+  (* Grouped runs stay bitwise at every shard count, with and without
+     a pool, and across a checkpoint split: the snapshot bytes equal
+     the per-source run's and a resumed run reproduces the
+     uninterrupted report. *)
+  let slots = 900 in
+  let mk () = grouped_sources ~order:64 ~seed:601 (String.make 37 'a' ^ "bbbbbbbbb") in
+  let pool = Pool.create ~domains:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (pool, shards) ->
+      check_grouped
+        (Printf.sprintf "shards=%d pool=%b" shards (pool <> None))
+        ?pool ~shards ~slots mk)
+    (List.concat_map (fun s -> [ (None, s); (Some pool, s) ]) [ 1; 2; 4; 7 ]);
+  let snapshot sources =
+    let first = ref None in
+    let save ~slot fill =
+      if !first = None then begin
+        let w = Ss_checkpoint.W.create () in
+        fill w;
+        first := Some (slot, Ss_checkpoint.W.contents w)
+      end
+    in
+    let mean = (Lazy.force small_model).Ss_core.Model.mean in
+    let r =
+      Mux.run ~checkpoint:{ Mux.every = 300; save } ~buffer:(3.0 *. mean)
+        ~service:(float_of_int (Array.length sources) *. mean /. 0.9) ~slots sources
+    in
+    (r, Option.get !first)
+  in
+  let r_grouped, (slot, bytes_grouped) = snapshot (mk ()) in
+  let r_single, (_, bytes_single) = snapshot (Array.map per_source (mk ())) in
+  if not (Mux.equal_report r_grouped r_single) then Alcotest.fail "checkpointed runs differ";
+  if not (String.equal bytes_grouped bytes_single) then
+    Alcotest.failf "snapshot bytes at slot %d differ" slot;
+  let mean = (Lazy.force small_model).Ss_core.Model.mean in
+  let sources = mk () in
+  let resumed =
+    Mux.run ~resume:(Ss_checkpoint.R.of_string bytes_grouped) ~buffer:(3.0 *. mean)
+      ~service:(float_of_int (Array.length sources) *. mean /. 0.9) ~slots sources
+  in
+  if not (Mux.equal_report r_single resumed) then Alcotest.fail "resumed grouped run differs"
+
+let test_mux_grouped_fixture () =
+  (* Parent-captured fixture of a 37-source, order-512 exact run
+     (32 + 5 sources: four full groups and a remainder tile), as
+     IEEE bit patterns: the grouped kernel and the block transform
+     must not move a bit. *)
+  let m = Lazy.force small_model in
+  let mean = m.Ss_core.Model.mean in
+  let n = 37 in
+  let rng = Rng.create ~seed:37 in
+  let srcs =
+    Array.init n (fun i ->
+        Source.of_model ~name:(Printf.sprintf "f%02d" i) ~order:512 m (Rng.split rng))
+  in
+  let r =
+    Mux.run ~buffer:(5.0 *. mean) ~service:(float_of_int n *. mean /. 0.9) ~slots:2500 srcs
+  in
+  let bits name want got =
+    if Int64.bits_of_float got <> want then
+      Alcotest.failf "%s: got %.17g (%LdL), want %.17g" name got (Int64.bits_of_float got)
+        (Int64.float_of_bits want)
+  in
+  bits "mean queue" 4652782664131220762L r.Mux.mean_queue;
+  bits "loss fraction" 4558603074627924538L r.Mux.loss_fraction;
+  let offered =
+    [|
+      4715826407298214242L; 4716111163233321679L; 4718960885469855889L; 4715737415477316046L;
+      4717198781064563836L; 4716695705809791768L; 4713851646034917649L; 4718809941130418460L;
+      4714019567671086267L; 4716404887078995603L; 4713680874843628452L; 4716406482975737729L;
+      4715654051925640913L; 4716350634467438201L; 4716516921461726340L; 4711211778600105585L;
+      4717862250216540026L; 4716509647180626252L; 4715589956477158282L; 4714479649234319453L;
+      4716878870240508273L; 4715822302533982271L; 4715414615311625482L; 4714638958603347232L;
+      4716560192796000104L; 4717972770749883444L; 4716135985079607424L; 4717114817411337144L;
+      4716129700384001247L; 4712875150630108268L; 4716097190789894492L; 4716385492455500098L;
+      4715562842282735978L; 4715336735729362995L; 4717361211248350717L; 4715874262909831270L;
+      4715397063434553581L;
+    |]
+  in
+  Array.iteri
+    (fun i want ->
+      bits (Printf.sprintf "source %d offered" i) want r.Mux.per_source.(i).Mux.offered)
+    offered
+
+(* ------------------------------------------------------------------ *)
 (* Differential property: Mux.run against the naive oracle              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1565,6 +1753,17 @@ let prop_mux_matches_oracle =
       let rng = Rng.create ~seed in
       let pick xs = List.nth xs (Rng.int_range rng 0 (List.length xs - 1)) in
       let kinds = List.init (Rng.int_range rng 1 9) (fun _ -> Rng.int_range rng 0 7) in
+      (* Half the runs splice in 8-12 consecutive same-model exact
+         sources, which the engine advances as groups; random mixes
+         rarely form one. *)
+      let kinds =
+        if Rng.bool rng then
+          let at = Rng.int_range rng 0 (List.length kinds) in
+          List.filteri (fun i _ -> i < at) kinds
+          @ List.init (Rng.int_range rng 8 12) (fun _ -> 4)
+          @ List.filteri (fun i _ -> i >= at) kinds
+        else kinds
+      in
       let load = Rng.float_range rng 0.5 1.5 in
       let service =
         Array.fold_left (fun a s -> a +. s.Source.mean) 0.0 (mixed_sources ~seed kinds) /. load
@@ -1810,6 +2009,22 @@ let test_mux_is_invalid () =
   raises_invalid "order" (fun () -> mk ~order:0 ());
   raises_invalid "service" (fun () -> mk ~service:0.0 ());
   raises_invalid "buffer" (fun () -> mk ~buffer:(-1.0) ());
+  (* NaN passes every unguarded bound test: a NaN buffer is never
+     crossed and a NaN twist zeroes every slot as corrupt, so either
+     would estimate p = 0 without an error. Each is refused by name. *)
+  let prefix = "Mux_is.make_config: " in
+  raises_invalid ~prefix:(prefix ^ "service") "NaN service" (fun () -> mk ~service:nan ());
+  raises_invalid ~prefix:(prefix ^ "service") "infinite service" (fun () ->
+      mk ~service:infinity ());
+  raises_invalid ~prefix:(prefix ^ "buffer") "NaN buffer" (fun () -> mk ~buffer:nan ());
+  raises_invalid ~prefix:(prefix ^ "buffer") "infinite buffer" (fun () -> mk ~buffer:infinity ());
+  raises_invalid ~prefix:(prefix ^ "twist") "NaN twist" (fun () -> mk ~twist:nan ());
+  raises_invalid ~prefix:(prefix ^ "twist") "infinite twist" (fun () -> mk ~twist:infinity ());
+  raises_invalid ~prefix:(prefix ^ "twist") "negative infinite twist" (fun () ->
+      mk ~twist:neg_infinity ());
+  raises_invalid ~prefix:(prefix ^ "scale") "infinite scale" (fun () ->
+      mk ~scales:[| 1.0; infinity |] ());
+  raises_invalid ~prefix:(prefix ^ "scale") "NaN scale" (fun () -> mk ~scales:[| nan; 1.0 |] ());
   raises_invalid "slots" (fun () -> mk ~slots:0 ());
   raises_invalid "scales length" (fun () -> mk ~scales:[| 1.0 |] ());
   (* The likelihood accumulator consumes per-step Hosking innovations,
@@ -2308,6 +2523,9 @@ let () =
           tc "trajectory delay = q/service (1 source)" test_mux_trajectory_single_source_delay_exact;
           tc "trajectory golden rows" test_mux_trajectory_golden;
           tc "hot loop allocation bound" test_mux_hot_loop_allocation;
+          tc "grouped = per-source" test_mux_grouped_matches_per_source;
+          tc "grouped layouts and resume" test_mux_grouped_layouts;
+          tc "fixture: 37 sources, order 512" test_mux_grouped_fixture;
           tc "sharded bit-identity" test_mux_sharded_bit_identity;
           tc "sharded bit-identity over pool" test_mux_sharded_pool_bit_identity;
           tc "sharded + police + faults identical" test_mux_sharded_police_fault_identity;

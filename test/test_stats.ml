@@ -317,6 +317,97 @@ let test_normal_cdf_relaxed_accuracy () =
         (Special.normal_cdf_relaxed x +. Special.normal_cdf_relaxed (-.x)))
     [ 0.3; 1.0; 2.5; 6.0 ]
 
+(* Inputs for the block CDFs: a dense grid over [-8, 8], N(0,1)
+   draws, and the edges — signed zeros, both sides of the series /
+   continued-fraction switch at |x| = 2 sqrt 2 (|y| = 2), +-8,
+   subnormals, infinities and NaN. *)
+let cdf_block_inputs () =
+  let grid = Array.init 16_001 (fun i -> -8.0 +. (float_of_int i /. 1000.0)) in
+  let rng = Rng.create ~seed:161 in
+  let draws = Array.init 4096 (fun _ -> Rng.gaussian rng) in
+  let switch = 2.0 *. sqrt 2.0 in
+  let edges =
+    [|
+      0.0; -0.0; switch; -.switch; Float.pred switch; Float.succ switch;
+      -.Float.pred switch; -.Float.succ switch; 8.0; -8.0; 4e-320; -4e-320;
+      Float.min_float; -.Float.min_float; infinity; neg_infinity; nan; 40.0; -40.0;
+    |]
+  in
+  Array.concat [ edges; draws; grid ]
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [into] over every block offset and length 0..9 of a short prefix,
+   then over 2048-element blocks, must equal [scalar] element by
+   element and leave everything outside the block untouched. *)
+let check_block_map name ~scalar ~into xs =
+  let check xs off len =
+    let buf = Array.copy xs in
+    into buf ~off ~len;
+    Array.iteri
+      (fun i y ->
+        let want = if i >= off && i < off + len then scalar xs.(i) else xs.(i) in
+        if not (same_bits want y) then
+          Alcotest.failf "%s: off=%d len=%d x=%h: got %h, want %h" name off len xs.(i) y want)
+      buf
+  in
+  let head = Array.sub xs 0 24 in
+  for off = 0 to 9 do
+    for len = 0 to 9 do
+      check head off len
+    done
+  done;
+  let off = ref 0 in
+  while !off < Array.length xs do
+    check xs !off (Stdlib.min 2048 (Array.length xs - !off));
+    off := !off + 2048
+  done
+
+let test_normal_cdf_into_bitwise () =
+  let xs = cdf_block_inputs () in
+  check_block_map "normal_cdf_into" ~scalar:Special.normal_cdf ~into:Special.normal_cdf_into xs;
+  check_block_map "normal_cdf_relaxed_into" ~scalar:Special.normal_cdf_relaxed
+    ~into:Special.normal_cdf_relaxed_into xs;
+  let b = Array.make 4 0.0 in
+  raises_invalid "negative offset" (fun () -> Special.normal_cdf_into b ~off:(-1) ~len:1);
+  raises_invalid "range overflow" (fun () -> Special.normal_cdf_into b ~off:2 ~len:3);
+  raises_invalid "relaxed range overflow" (fun () ->
+      Special.normal_cdf_relaxed_into b ~off:0 ~len:5)
+
+let test_normal_cdf_into_no_alloc () =
+  let rng = Rng.create ~seed:162 in
+  let xs = Array.init 65_536 (fun _ -> 3.0 *. Rng.gaussian rng) in
+  let buf = Array.copy xs in
+  Special.normal_cdf_into buf ~off:0 ~len:16;
+  Special.normal_cdf_relaxed_into buf ~off:0 ~len:16;
+  let buf = Array.copy xs in
+  let w0 = Gc.minor_words () in
+  Special.normal_cdf_into buf ~off:0 ~len:65_536;
+  let exact = Gc.minor_words () -. w0 in
+  let buf = Array.copy xs in
+  let w0 = Gc.minor_words () in
+  Special.normal_cdf_relaxed_into buf ~off:0 ~len:65_536;
+  let relaxed = Gc.minor_words () -. w0 in
+  if exact <> 0.0 || relaxed <> 0.0 then
+    Alcotest.failf "65536 block CDFs allocated %.0f (exact) and %.0f (relaxed) minor words" exact
+      relaxed
+
+let test_empirical_quantile_into () =
+  let rng = Rng.create ~seed:163 in
+  let e = Empirical.of_data (Array.init 501 (fun _ -> Rng.exponential rng ~rate:0.5)) in
+  let ps =
+    Array.append [| 0.0; 1.0; 0.5; Float.succ 0.0; Float.pred 1.0; nan |]
+      (Array.init 5000 (fun _ -> Rng.float rng))
+  in
+  check_block_map "quantile_into" ~scalar:(Empirical.quantile e)
+    ~into:(Empirical.quantile_into e) ps;
+  check_block_map "quantile_into (one point)"
+    ~scalar:(Empirical.quantile (Empirical.of_data [| 3.0 |]))
+    ~into:(Empirical.quantile_into (Empirical.of_data [| 3.0 |]))
+    ps;
+  raises_invalid "p > 1" (fun () -> Empirical.quantile_into e [| 0.5; 1.5 |] ~off:0 ~len:2);
+  raises_invalid "range" (fun () -> Empirical.quantile_into e [| 0.5 |] ~off:1 ~len:1)
+
 let test_normal_quantile_roundtrip () =
   List.iter
     (fun p ->
@@ -945,6 +1036,8 @@ let () =
           tc "gamma P+Q" test_gamma_p_q_complementarity;
           tc "normal cdf symmetry" test_normal_cdf_symmetry;
           tc "normal cdf relaxed" test_normal_cdf_relaxed_accuracy;
+          tc "normal_cdf_into = normal_cdf, bitwise" test_normal_cdf_into_bitwise;
+          tc "block CDFs allocate nothing" test_normal_cdf_into_no_alloc;
           tc "normal quantile roundtrip" test_normal_quantile_roundtrip;
           tc "normal quantile known" test_normal_quantile_known;
           tc "log normal pdf" test_log_normal_pdf;
@@ -981,6 +1074,7 @@ let () =
           tc "ks self" test_empirical_ks_self_zero;
           tc "ks detects shift" test_empirical_ks_detects_shift;
           tc "ks same distribution" test_empirical_same_distribution_small_ks;
+          tc "quantile_into = quantile, bitwise" test_empirical_quantile_into;
         ] );
       ( "dist",
         [
