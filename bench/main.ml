@@ -1498,10 +1498,12 @@ let throughput () =
     !acc
   in
   (* A. Kernel: the scalar per-slot pull interface vs the blocked
-     source drained in [block]-slot chunks. The scalar side is the
-     pre-PR execution model kept verbatim in-tree ([of_model_twisted]
-     at zero shift: per-slot closure, history blit, tuple per pull),
-     documented bit-identical to [of_model] on the same generator
+     source drained in [block]-slot chunks. The scalar side pulls
+     [of_model_twisted] at zero shift one slot at a time: the block
+     kernel at one-slot blocks, plus the shift and a tuple per pull.
+     The committed "scalar pull" rows predate that and time the
+     deleted per-slot recursion (closure, history blit per slot). It
+     is documented bit-identical to [of_model] on the same generator
      state — so the arrival sums must agree bitwise. *)
   let n_kernel = 1 lsl 17 in
   List.iter

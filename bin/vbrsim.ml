@@ -596,8 +596,9 @@ let mux_cmd =
     Arg.(value & opt (some size) None & info [ "buffer" ] ~docv:"FLOAT" ~doc)
   in
   let epsilon_arg =
-    let doc = "Admission-control overflow target Pr(Q > b) <= epsilon." in
-    Arg.(value & opt float 1e-6 & info [ "epsilon" ] ~docv:"FLOAT" ~doc)
+    let doc = "Admission-control overflow target Pr(Q > b) <= epsilon, in (0,1)." in
+    let target = float_where ~expected:"a number in (0, 1)" (fun e -> e > 0.0 && e < 1.0) in
+    Arg.(value & opt target 1e-6 & info [ "epsilon" ] ~docv:"FLOAT" ~doc)
   in
   let composite_arg =
     let doc = "Use the Section-3.3 composite I/B/P model (GOP phases staggered per source)." in
@@ -996,7 +997,10 @@ let abr_cmd =
 let fastsim_cmd =
   let buffer_arg =
     let doc = "Normalized buffer size (units of mean frame size)." in
-    Arg.(value & opt float 100.0 & info [ "buffer"; "b" ] ~docv:"FLOAT" ~doc)
+    let size =
+      float_where ~expected:"a finite number >= 0" (fun b -> Float.is_finite b && b >= 0.0)
+    in
+    Arg.(value & opt size 100.0 & info [ "buffer"; "b" ] ~docv:"FLOAT" ~doc)
   in
   let horizon_arg =
     let doc = "Simulation horizon k in slots (default: 10 * buffer)." in

@@ -21,8 +21,14 @@ type config = {
 
 let make_config ~table ~arrival ~service ~buffer ~horizon ~twist ?profile
     ?(full_start = false) ?(initial_workload = 0.0) ?(backend = `Hosking) () =
-  if service <= 0.0 then invalid_arg "Is_estimator: service <= 0";
-  if buffer < 0.0 then invalid_arg "Is_estimator: buffer < 0";
+  (* NaN passes every unguarded bound test: a NaN or infinite buffer
+     is never crossed, so the estimate would read p = 0 without an
+     error. *)
+  if not (Float.is_finite service && service > 0.0) then
+    invalid_arg "Is_estimator: service must be finite and > 0";
+  if not (Float.is_finite buffer && buffer >= 0.0) then
+    invalid_arg "Is_estimator: buffer must be finite and >= 0";
+  if not (Float.is_finite twist) then invalid_arg "Is_estimator: twist must be finite";
   if horizon <= 0 || horizon > Table.length table then
     invalid_arg "Is_estimator: horizon outside table length";
   if initial_workload < 0.0 then invalid_arg "Is_estimator: initial_workload < 0";

@@ -71,9 +71,11 @@ val make_config :
     is given it overrides the constant [twist] (which then only
     serves as a label); otherwise the shift is [Twist.constant twist],
     the paper's scheme.
-    @raise Invalid_argument on violated constraints (service <= 0,
-    buffer < 0, horizon outside the table, a [`Davies_harte] backend
-    with a nonzero twist or a plan shorter than the horizon, ...). *)
+    @raise Invalid_argument on violated constraints: a service that
+    is not finite and > 0, a buffer that is NaN, negative or
+    infinite, a non-finite twist, a horizon outside the table, a
+    [`Davies_harte] backend with a nonzero twist or a plan shorter
+    than the horizon, ... *)
 
 type replication = {
   hit : bool;  (** overflow occurred *)

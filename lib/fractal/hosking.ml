@@ -334,6 +334,21 @@ module Block = struct
 
   let generated t = t.k
 
+  (* Back to slot 0 in place: the next [fill] reads no history (slot k
+     only reads the ring entries of slots 0..k-1), and the zeroed ring
+     makes the state, checkpoint bytes included, a fresh generator's. *)
+  let rewind t =
+    match t.impl with
+    | Seq ring ->
+        Array.fill ring 0 (Array.length ring) 0.0;
+        t.k <- 0
+    | Fft_os _ -> invalid_arg "Hosking.Block.rewind: fft kernel"
+
+  let deviates t =
+    match t.impl with
+    | Seq _ -> t.scratch
+    | Fft_os _ -> invalid_arg "Hosking.Block.deviates: fft kernel"
+
   (* The innovations are independent of the generated values, so one
      [Rng.fill_gaussian] batch replaces [len] per-slot boxed calls —
      the same deviate sequence, read unboxed from a float array. The

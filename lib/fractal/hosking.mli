@@ -125,12 +125,30 @@ module Block : sig
   val generated : t -> int
   (** Number of values produced so far. *)
 
+  val rewind : t -> unit
+  (** Put an exact-kernel generator back at slot 0 in place, without
+      allocating: driven by a generator in the same state, its next
+      {!fill}s produce a fresh generator's stream, and its state is a
+      fresh generator's. Importance sampling reuses one generator per
+      source across replications this way.
+      @raise Invalid_argument on the FFT kernel. *)
+
   val fill : t -> Ss_stats.Rng.t -> float array -> off:int -> len:int -> unit
   (** Append the next [len] values of the stream into
       [buf.(off .. off+len-1)]. Zero per-slot allocation; draws
       exactly one Gaussian per value.
       @raise Invalid_argument if the range lies outside the
       buffer. *)
+
+  val deviates : t -> float array
+  (** The standard-normal deviates the last {!fill} or {!fill_many}
+      of an exact-kernel generator drew, one per value, in entries
+      [0 .. len-1]. Entry [i] belongs to stream value [k = k0 + i],
+      [k0] being {!generated} before the call, whose innovation is
+      [Table.innovation_std table (min k order) *. g.(i)]. The array
+      is the generator's own scratch, overwritten by its next fill:
+      read it, do not keep it.
+      @raise Invalid_argument on the FFT kernel. *)
 
   val group : int
   (** Most generators {!fill_many} advances at once (8). *)

@@ -40,8 +40,9 @@ let predicted_overflow ~service ~buffer = function
 
 let effective_bandwidth ~buffer ~epsilon d =
   if buffer <= 0.0 then invalid_arg "Admission.effective_bandwidth: buffer <= 0";
-  if epsilon <= 0.0 || epsilon >= 1.0 then
-    invalid_arg "Admission.effective_bandwidth: epsilon outside (0,1)";
+  (* NaN passes both bound tests and would reject every source. *)
+  if Float.is_nan epsilon || epsilon <= 0.0 || epsilon >= 1.0 then
+    invalid_arg "Admission.effective_bandwidth: epsilon is NaN or outside (0,1)";
   if d.sigma2 <= 0.0 then invalid_arg "Admission.effective_bandwidth: sigma2 <= 0";
   if d.hurst <= 0.0 || d.hurst >= 1.0 then
     invalid_arg "Admission.effective_bandwidth: hurst outside (0,1)";
@@ -64,7 +65,8 @@ type t = {
 let create ~service ~buffer ~epsilon =
   if service <= 0.0 then invalid_arg "Admission.create: service <= 0";
   if buffer <= 0.0 then invalid_arg "Admission.create: buffer <= 0";
-  if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Admission.create: epsilon outside (0,1)";
+  if Float.is_nan epsilon || epsilon <= 0.0 || epsilon >= 1.0 then
+    invalid_arg "Admission.create: epsilon is NaN or outside (0,1)";
   { service; buffer; epsilon; load = [] }
 
 let admitted t = List.rev t.load

@@ -52,8 +52,8 @@ val validate : descr -> string option
 val effective_bandwidth : buffer:float -> epsilon:float -> descr -> float
 (** Minimal service rate under which the descriptor alone meets
     [Pr(Q > buffer) <= epsilon].
-    @raise Invalid_argument if [buffer <= 0], [epsilon] outside
-    (0,1), [sigma2 <= 0] or [hurst] outside (0,1). *)
+    @raise Invalid_argument if [buffer <= 0], [epsilon] is NaN or
+    outside (0,1), [sigma2 <= 0] or [hurst] outside (0,1). *)
 
 type t
 (** Mutable admission controller: link parameters plus the set of
@@ -61,7 +61,7 @@ type t
 
 val create : service:float -> buffer:float -> epsilon:float -> t
 (** @raise Invalid_argument if [service <= 0], [buffer <= 0] or
-    [epsilon] outside (0,1). *)
+    [epsilon] is NaN or outside (0,1). *)
 
 val admitted : t -> descr list
 (** Currently admitted descriptors, in admission order. *)

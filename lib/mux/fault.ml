@@ -167,17 +167,10 @@ let wrap ?name ~rng spec (src : Source.t) =
        index, event index) — the Fanout discipline. *)
     let transforms = List.map (fun ev -> compile (Rng.split rng) ev) spec in
     let t = ref 0 in
-    let pull () =
-      let w, c = src.Source.pull () in
-      let slot = !t in
-      incr t;
-      (List.fold_left (fun w ev -> ev.apply slot w) w transforms, c)
-    in
-    (* Native block path: pull a block from the wrapped source, then
-       apply the event transforms slot by slot in slot order — the
-       stochastic schedules (episode processes, corruption draws)
-       advance exactly as under scalar pulls, so block and scalar
-       wrapping are bit-identical. *)
+    (* Pull a block from the wrapped source, then apply the event
+       transforms slot by slot in slot order, so the stochastic
+       schedules (episode processes, corruption draws) advance the same
+       at any block split; the scalar pull is this at one slot. *)
     let pull_block wbuf cbuf off len =
       let f = src.Source.pull_block wbuf cbuf off len in
       for j = off to off + f - 1 do
@@ -212,7 +205,7 @@ let wrap ?name ~rng spec (src : Source.t) =
                 List.iter (fun ev -> ev.ev_restore r) transforms);
           }
     in
-    Source.make ~pull_block ?ckpt ~name ~mean ~sigma2 ~hurst pull
+    Source.make ~pull_block ?ckpt ~name ~mean ~sigma2 ~hurst (Source.pull_of_block pull_block)
 
 let wrap_all ~rng specs sources =
   let n = Array.length sources in

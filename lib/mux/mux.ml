@@ -28,6 +28,7 @@ type report = {
   class_delay_quantiles : (int * (float * float) list) list;
   overflow : (float * float) list;
   per_source : source_report array;
+  first_passage : int option;
 }
 
 let max_classes = 64
@@ -36,15 +37,21 @@ let max_classes = 64
    (through its block pull) before the sequential Lindley/admission
    loop consumes them. [staging_budget] bounds the staged elements
    (sources * block slots): at N = 10^5 sources a long stage would pin
-   hundreds of MB, so the block shrinks as N grows (floor 8). At small
-   N the block stretches up to [max_block] instead: every block costs
-   one barrier dispatch, and on a few-core machine the dispatch
-   wake-up is the whole cost of a multi-domain pool, so fewer, longer
-   blocks keep d>1 from losing to d=1. The block size only sets
+   hundreds of MB, so the block shrinks as N grows (floor
+   [min_block]). At small N the block stretches up to [max_block]
+   instead: every block costs one barrier dispatch, and on a few-core
+   machine the dispatch wake-up is the whole cost of a multi-domain
+   pool, so fewer, longer blocks keep d>1 from losing to d=1. The block size only sets
    staging granularity, never arithmetic — the admission loop consumes
    the same per-slot values at any block size, so results are
-   independent of both constants. *)
+   independent of all three constants.
+
+   A run with [stop_above] stages [min_block] slots at a time: the
+   slots staged past the stopping slot are drawn for nothing, and a
+   short block keeps the per-run staging arrays small enough for the
+   minor heap at the importance sampler's source counts. *)
 let staging_budget = 1 lsl 20
+let min_block = 8
 let max_block = 2048
 
 (* All-float mutable record for the per-slot Lindley/admission state:
@@ -287,18 +294,18 @@ let validate_checkpoint ?checkpoint ?resume sources =
    barrier (departure flags and slots) is written only by the owning
    shard.
 
-   A [probe] stages one slot per block: every shard finishes its
-   one-slot block at the barrier before the admission loop runs and
-   the probe is called on the caller after the slot, so a probe that
-   raises at slot t (the importance sampler's first-passage cutoff)
-   leaves every source having produced exactly slots 0..t, at any
-   shard and domain count. *)
+   With [stop_above] the admission loop ends after the first slot tau
+   whose queue exceeds it (the importance sampler's first passage);
+   every source has then produced the slots of tau's staging block,
+   at most [min_block - 1] past tau, and the report covers slots
+   0..tau. *)
 let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ])
-    ?probe ?police ?trajectory ?checkpoint ?resume ~service ~slots sources =
+    ?stop_above ?police ?trajectory ?checkpoint ?resume ~service ~slots sources =
   if slots <= 0 then invalid_arg "Mux.run: slots <= 0";
   (match shards with Some s when s < 1 -> invalid_arg "Mux.run: shards < 1" | _ -> ());
-  if probe <> None && (checkpoint <> None || resume <> None) then
-    invalid_arg "Mux.run: ~probe is incompatible with checkpoint/resume";
+  (match stop_above with
+  | Some b when Float.is_nan b || b < 0.0 -> invalid_arg "Mux.run: stop_above is NaN or < 0"
+  | _ -> ());
   validate_checkpoint ?checkpoint ?resume sources;
   if not (Float.is_finite service && service > 0.0) then
     invalid_arg "Mux.run: service must be finite and > 0";
@@ -319,9 +326,13 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   in
   let nshards = Stdlib.min shards n in
   let block =
-    if probe <> None then 1
-    else Stdlib.min slots (Stdlib.max 8 (Stdlib.min max_block (staging_budget / n)))
+    Stdlib.min slots
+      (match stop_above with
+      | Some _ -> min_block
+      | None -> Stdlib.max min_block (Stdlib.min max_block (staging_budget / n)))
   in
+  (* [infinity] never stops a run: no queue exceeds it. *)
+  let stop_level = match stop_above with Some b -> b | None -> infinity in
   (* Snapshots only land on staging points, so a block longer than the
      requested cadence would silently skip them (a whole small run can
      be one block). Capping the block at [every] is bitwise-free:
@@ -540,7 +551,12 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   let t0 = match resume with None -> 0 | Some r -> restore_engine es r in
   base := t0;
   let last_ck = ref t0 in
-  for t = t0 to slots - 1 do
+  (* The slot the run stopped at, -1 while it runs on. *)
+  let first_passage = ref (-1) in
+  let next = ref t0 in
+  while !next < slots do
+    let t = !next in
+    next := t + 1;
     if t >= !base + !filled then begin
       (* All shards idle, every source exactly at slot [t] — the only
          points where a snapshot captures a consistent whole-run
@@ -750,8 +766,12 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
     for j = 0 to Array.length thr - 1 do
       if st.q > thr.(j) then thr_hits.(j) <- thr_hits.(j) + 1
     done;
-    match probe with None -> () | Some f -> f t st.q
+    if st.q > stop_level then begin
+      first_passage := t;
+      next := slots
+    end
   done;
+  let slots = if !first_passage < 0 then slots else !first_passage + 1 in
   let fslots = float_of_int slots in
   let total_offered = Array.fold_left ( +. ) 0.0 offered in
   let total_lost = Array.fold_left ( +. ) 0.0 lost in
@@ -794,8 +814,13 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
             corrupt_slots = corrupt.(i);
             throttled = throttled.(i);
             discarded = discarded.(i);
-            departed_at = (if departed_at.(i) < 0 then None else Some departed_at.(i));
+            departed_at =
+              (* A stopped run may have staged a departure past its
+                 last slot. *)
+              (if departed_at.(i) < 0 || departed_at.(i) >= slots then None
+               else Some departed_at.(i));
           });
+    first_passage = (if !first_passage < 0 then None else Some !first_passage);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -832,6 +857,7 @@ let equal_report a b =
   && pair_list_eq a.overflow b.overflow
   && Array.length a.per_source = Array.length b.per_source
   && Array.for_all2 equal_source_report a.per_source b.per_source
+  && a.first_passage = b.first_passage
 
 let pp_report ppf r =
   let pct x = 100.0 *. x in

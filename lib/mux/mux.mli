@@ -63,6 +63,10 @@ type report = {
           [delay_quantiles] (exactly for an infinite buffer). *)
   overflow : (float * float) list;  (** (threshold b, fraction of slots with q > b) *)
   per_source : source_report array;
+  first_passage : int option;
+      (** with [stop_above], the slot [tau] at which the run stopped:
+          the first whose queue exceeded the level ([slots = tau + 1]);
+          [None] when the run went the distance *)
 }
 
 type checkpoint = {
@@ -91,7 +95,7 @@ val run :
   ?buffer:float ->
   ?thresholds:float list ->
   ?quantiles:float list ->
-  ?probe:(int -> float -> unit) ->
+  ?stop_above:float ->
   ?police:Police.t ->
   ?trajectory:(slot:int -> served:float array -> delays:float array -> unit) ->
   ?checkpoint:checkpoint ->
@@ -104,8 +108,7 @@ val run :
     [infinity] (pure delay system, no loss); [thresholds] (default
     empty) are the queue levels whose exceedance fractions the report
     records; [quantiles] (default [0.5; 0.9; 0.99]) are the P²
-    levels; [probe] is called on the caller after every slot with
-    the slot index and the updated queue length.
+    levels.
 
     {b Engine.} There is one engine. The sources are partitioned into
     [shards] contiguous shards (default: the pool's domain count, or
@@ -121,15 +124,18 @@ val run :
     order. With [shards] larger than the source count, the excess
     shards are empty (clamped).
 
-    {b Probe.} With [probe] the staging block is one slot, at any
-    shard count: every shard finishes the slot at the barrier before
-    the admission loop runs, and the probe runs after the slot's
-    accounting. A probe may stop the run by raising (the importance
-    sampler's first-passage cutoff, {!Mux_is}); the exception
-    propagates out of [run], and a probe that raises at slot [t]
-    leaves every source having produced exactly slots [0..t] — none
-    is advanced past the crossing slot. A probed run is bit-identical
-    to the same run without a probe.
+    {b Stop.} With [stop_above = b] the run ends after the first slot
+    [tau] whose queue (after the slot's Lindley step) exceeds [b] —
+    the importance sampler's first passage ({!Mux_is}). The report
+    then covers slots [0..tau] exactly as a run of [tau + 1] slots
+    would ([slots = tau + 1], averages over [tau + 1] slots, no
+    departure after [tau]) and records [first_passage = Some tau].
+    A stopped run stages 8 slots at a time, at any shard count, so
+    a run from slot 0 leaves each live source having produced
+    [min slots (8 * (tau / 8 + 1))] slots: at most 7 past [tau],
+    drawn from that source's own state only (fewer when a checkpoint
+    interval shortens the blocks). Up to [tau] a stopped run is bit-identical to the same
+    run without [stop_above]; [b = infinity] never stops.
 
     With [trajectory], a per-source service/delay trajectory is
     exported: after every slot the sink is called with [served.(i)] —
@@ -166,14 +172,15 @@ val run :
     verified against the snapshot ({!Ss_checkpoint.Corrupt} on
     mismatch, with the offending field named). Checkpointing is
     observational: a run with [checkpoint] is bit-identical to one
-    without.
+    without. A stopped run checkpoints like any other; the snapshot
+    does not record [stop_above], so resume with the same level.
     @raise Invalid_argument if [slots <= 0], [service] is not finite
     and [> 0], [buffer] is NaN or [< 0] ([infinity] is the unbounded
     default), [shards < 1], no sources, a quantile outside (0,1), a
     threshold is NaN or negative, a source yields a class outside
     [0, 63], [police] was created for a different number of sources,
-    a checkpoint interval is < 1, checkpoint/resume is combined with
-    [probe], or a source does not support checkpointing
+    [stop_above] is NaN or [< 0], a checkpoint interval is < 1, or a
+    source does not support checkpointing
     ({!Source.supports_checkpoint}).
     @raise Ss_checkpoint.Corrupt when [resume] does not match the
     reconstructed run or is structurally invalid. *)

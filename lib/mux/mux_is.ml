@@ -83,36 +83,72 @@ type replication = {
   stop_slot : int;
 }
 
-exception Crossed of int
+(* One replication's reusable state: the [n] twisted sources with
+   their rewinds, their likelihood streams, and per source the running
+   log ratio after each slot, so the weight at the stopping slot
+   survives the slots staged past it. *)
+type workspace = {
+  ws_cfg : config;
+  srcs : Source.t array;
+  rewinds : (Rng.t -> unit) array;
+  liks : Likelihood.stream array;
+  log_ratios : float array array;
+}
+
+let make_workspace cfg =
+  let liks = Array.map Likelihood.stream_of_plan cfg.plans in
+  let log_ratios = Array.map (fun _ -> Array.make cfg.slots 0.0) cfg.plans in
+  let built =
+    Array.mapi
+      (fun i plan ->
+        let lik = liks.(i) and lr = log_ratios.(i) in
+        (* The generator is overwritten by every rewind. *)
+        Source.of_model_twisted_reusable
+          ~name:(Printf.sprintf "is%d" i)
+          ~order:cfg.order
+          ~shift:(Twist.shift (Likelihood.plan_profile plan))
+          ~probe:(fun ~k ~innovation ->
+            Likelihood.stream_step lik ~k ~innovation;
+            lr.(k) <- Likelihood.stream_log_ratio lik)
+          cfg.model (Rng.create ~seed:0))
+      cfg.plans
+  in
+  { ws_cfg = cfg; srcs = Array.map fst built; rewinds = Array.map snd built; liks; log_ratios }
+
+(* One workspace per domain, for the last config it served: a fresh
+   set of sources per replication would put every source's O(order)
+   ring on the major heap. *)
+let workspace_key : workspace option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let workspace cfg =
+  let cell = Domain.DLS.get workspace_key in
+  match !cell with
+  | Some ws when ws.ws_cfg == cfg -> ws
+  | _ ->
+    let ws = make_workspace cfg in
+    cell := Some ws;
+    ws
 
 let replicate cfg rng =
-  let n = cfg.sources in
-  let liks = Array.map Likelihood.stream_of_plan cfg.plans in
+  let ws = workspace cfg in
   (* Substreams are split in source-index order on the replication's
      own substream, so the replication is a pure function of [rng]
      regardless of how replications are distributed over domains. *)
-  let srcs =
-    Array.init n (fun i ->
-        let sub = Rng.split rng in
-        let lik = liks.(i) in
-        Source.of_model_twisted
-          ~name:(Printf.sprintf "is%d" i)
-          ~order:cfg.order
-          ~shift:(Twist.shift (Likelihood.plan_profile cfg.plans.(i)))
-          ~probe:(fun ~k ~innovation -> Likelihood.stream_step lik ~k ~innovation)
-          cfg.model sub)
+  Array.iteri
+    (fun i rewind ->
+      rewind (Rng.split rng);
+      Likelihood.stream_reset ws.liks.(i))
+    ws.rewinds;
+  let r =
+    Mux.run ~quantiles:[] ~stop_above:cfg.buffer ~service:cfg.service ~slots:cfg.slots ws.srcs
   in
-  match
-    Mux.run ~quantiles:[] ~service:cfg.service ~slots:cfg.slots
-      ~probe:(fun t q -> if q > cfg.buffer then raise (Crossed t))
-      srcs
-  with
-  | (_ : Mux.report) -> { hit = false; log_weight = neg_infinity; stop_slot = cfg.slots }
-  | exception Crossed t ->
+  match r.Mux.first_passage with
+  | None -> { hit = false; log_weight = neg_infinity; stop_slot = cfg.slots }
+  | Some t ->
     (* Likelihood ratio of the joint (independent-sources) path at the
        stopping time: the product of per-source ratios, each cut off
-       at the innovations actually drawn. *)
-    let lw = Array.fold_left (fun acc l -> acc +. Likelihood.stream_log_ratio l) 0.0 liks in
+       at the innovations drawn up to slot [t]. *)
+    let lw = Array.fold_left (fun acc lr -> acc +. lr.(t)) 0.0 ws.log_ratios in
     { hit = true; log_weight = lw; stop_slot = t + 1 }
 
 let estimate ?pool cfg ~replications rng =

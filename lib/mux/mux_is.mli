@@ -2,9 +2,10 @@
     multiplexer — the paper's Section-5 fast-simulation method lifted
     from the single queue to [N] superposed model sources.
 
-    Each replication drives a fresh set of [N] streaming model
-    sources ({!Source.of_model_twisted}) whose background Gaussian
-    processes are generated under a mean-shifted law: one {!Twist.t}
+    Each replication drives [N] streaming model sources
+    ({!Source.of_model_twisted}, on the same exact block kernel as
+    plain synthesis) whose background Gaussian processes are generated
+    under a mean-shifted law: one {!Twist.t}
     profile shared across sources, scaled per-source (all scales 1 by
     default — the aggregate drift is then [N] times the per-source
     shift's foreground effect). Histories store untwisted values, so
@@ -18,11 +19,14 @@
     The overflow event is the first passage of the {!Mux.run} shared
     queue (pure-delay, Lindley recursion from empty) above the
     [buffer] threshold within [slots] slots. A replication stops at
-    first passage; the likelihood ratio evaluated at the stopping
-    time keeps the estimator [1/N sum I_n L_n] unbiased (optional
-    stopping), and weights are combined in the log domain
-    ({!Ss_queueing.Mc.estimate_of_log_samples}) so deep-buffer runs
-    never underflow the figure of merit.
+    first passage ([Mux.run ~stop_above:buffer]); the likelihood ratio
+    evaluated at the stopping time keeps the estimator
+    [1/N sum I_n L_n] unbiased (optional stopping). Each source keeps
+    its running log ratio per slot, so the slots the engine stages
+    past the stop (at most 7 per source, drawn from that source's own
+    substream) never enter the weight. Weights are combined in the
+    log domain ({!Ss_queueing.Mc.estimate_of_log_samples}) so
+    deep-buffer runs never underflow the figure of merit.
 
     With [twist = 0] every weight is 1 and the estimator is exactly
     plain Monte Carlo on the same event. *)
@@ -65,7 +69,7 @@ val make_config :
     exists so callers that select a synthesis backend get a clear
     error here rather than a silent behavior change: only the default
     [`Hosking] is accepted — the likelihood accumulator consumes the
-    per-step innovations of the exact scalar recursion, which a
+    per-step innovations of the exact Hosking recursion, which a
     materialized Davies–Harte path never produces. The twisted
     sources always run the exact kernel.
     @raise Invalid_argument on violated constraints (see field docs)
@@ -81,7 +85,18 @@ val replicate : config -> Ss_stats.Rng.t -> replication
 (** Run one replication on the given substream: per-source substreams
     are split off in source-index order, so the result is a pure
     function of the substream. Stops the {!Mux.run} drive at first
-    passage. *)
+    passage.
+
+    Each domain keeps one workspace for the last config it replicated
+    (by physical equality), in [Domain.DLS] like the synthesis
+    kernels' scratch: the [N] twisted sources
+    ({!Source.of_model_twisted_reusable}), their likelihood streams
+    and their per-slot log ratios ([N * slots] floats). A replication
+    rewinds it — each source's generator takes a copy of its
+    substream and its kernel goes back to slot 0 — instead of
+    allocating [N] fresh O(order) rings; a new config rebuilds it.
+    Results do not depend on what the workspace served before. Not
+    reentrant between systhreads of one domain. *)
 
 val estimate :
   ?pool:Ss_parallel.Pool.t ->

@@ -62,6 +62,13 @@ let block_of_pull pull =
      with End_of_stream -> ());
     !i
 
+(* The scalar pull as a one-slot block pull, so scalar and block
+   consumption interleave coherently on one source and are
+   bit-identical by construction. *)
+let pull_of_block pull_block =
+  let w = [| 0.0 |] and c = [| 0 |] in
+  fun () -> if pull_block w c 0 1 = 1 then (w.(0), c.(0)) else raise End_of_stream
+
 let make ?pull_block ?ckpt ~name ~mean ~sigma2 ~hurst pull =
   if mean < 0.0 then invalid_arg "Source.make: mean < 0";
   if sigma2 < 0.0 then invalid_arg "Source.make: sigma2 < 0";
@@ -106,8 +113,8 @@ let next_block t wbuf cbuf ~off ~len = t.pull_block wbuf cbuf off len
    scatters its rings once per block, O(order) per lane, which the
    side-by-side AR recursion repays after ~12 slots at order 512 and
    ~25 at orders 16 and 2048 (32-source runs on a 2.0 GHz Xeon, OCaml
-   5.1 without flambda); shorter blocks, such as the one-slot blocks
-   of a probed run, stay per-source. *)
+   5.1 without flambda); shorter blocks, such as the 8-slot blocks of
+   a run stopped at a threshold, stay per-source. *)
 let min_group_len = 32
 
 (* [s]'s lane when the grouped path may stand in for [s.pull_block]
@@ -450,41 +457,12 @@ let fft_plan_for ~acf ~order =
        bit-identical. *)
     (fun () -> Hosking.Fft_plan.make ~table:(table_for ~acf ~order) ~order)
 
-(* Shared truncated-Hosking core. [shift]/[probe] hook in the
-   importance sampler: the *untwisted* value is kept in [hist] (so
-   conditional means stay those of the original law), the per-step
-   innovation is reported to [probe] for likelihood accumulation, and
-   [shift k] is added only to the emitted value. With both hooks
-   absent the arithmetic is exactly that of the original
-   [background_stream] (the innovation is merely let-bound), so the
-   plain path stays bit-identical — and identical, in turn, to the
-   block kernel ({!Ss_fractal.Hosking.Block}) that the plain model
-   sources now run on. *)
-let background_stream_gen ~acf ~order ~shift ~probe rng =
-  let table = table_for ~acf ~order in
-  (* [hist] holds the last [min k order] background values in
-     chronological order; O(order) resident state. *)
-  let hist = Array.make order 0.0 in
-  let k = ref 0 in
+let background_stream ~acf ~order rng =
+  let blk = Hosking.Block.create ~table:(table_for ~acf ~order) ~order () in
+  let buf = [| 0.0 |] in
   fun () ->
-    let kk = if !k < order then !k else order in
-    let m = Hosking.Table.cond_mean table hist kk in
-    let innovation = Hosking.Table.innovation_std table kk *. Rng.gaussian rng in
-    let x = m +. innovation in
-    if !k < order then hist.(!k) <- x
-    else begin
-      Array.blit hist 1 hist 0 (order - 1);
-      hist.(order - 1) <- x
-    end;
-    (match probe with None -> () | Some f -> f ~k:!k ~innovation);
-    let out = match shift with None -> x | Some s -> x +. s !k in
-    incr k;
-    out
-
-let background_stream ~acf ~order rng = background_stream_gen ~acf ~order ~shift:None ~probe:None rng
-
-let background_stream_twisted ~acf ~order ~shift ?probe rng =
-  background_stream_gen ~acf ~order ~shift:(Some shift) ~probe rng
+    Hosking.Block.fill blk rng buf ~off:0 ~len:1;
+    buf.(0)
 
 let check_horizon who horizon =
   match horizon with
@@ -597,20 +575,6 @@ let bg_filler ~who ~acf ~order ~backend ~allow_clipping ~horizon ~kernel rng =
     let plan = plan_for ~allow_clipping ~acf ~n () in
     materialized n (Davies_harte.generate plan)
 
-let of_model_gen ~name ~order ~shift ~probe model rng =
-  let acf = Model.background_acf model in
-  let bg = background_stream_gen ~acf ~order ~shift ~probe rng in
-  let h = model.Model.transform in
-  let _, sigma2 = Transform.moments h in
-  (* Clamp at zero like [of_mpeg]: histogram-inverse transforms can
-     dip slightly negative in the far tail, and Mux.run rejects
-     negative work. Monomorphic [Stdlib.max 0.0 w], as in [of_model]. *)
-  let pull () =
-    let w = Transform.apply1 h (bg ()) in
-    ((if 0.0 >= w then 0.0 else w), 0)
-  in
-  make ~name ~mean:model.Model.mean ~sigma2 ~hurst:model.Model.hurst pull
-
 let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Exact)
     ?(allow_clipping = false) ?horizon model rng =
   check_horizon "Source.of_model" horizon;
@@ -634,23 +598,59 @@ let of_model ?(name = "model") ?(order = 512) ?(backend = `Hosking) ?(kernel = `
     foreground h wbuf cbuf ~off ~len:f;
     f
   in
-  (* The scalar pull is the block path at block size one, so scalar
-     and block consumption interleave coherently on one source. *)
-  let wtmp = [| 0.0 |] and ctmp = [| 0 |] in
-  let pull () = if pull_block wtmp ctmp 0 1 = 1 then (wtmp.(0), 0) else raise End_of_stream in
   (* The marginal transform is stateless: the background filler is the
      whole checkpointable state. *)
   let s =
     make ~pull_block ~ckpt:bg_ckpt ~name ~mean:model.Model.mean ~sigma2
-      ~hurst:model.Model.hurst pull
+      ~hurst:model.Model.hurst (pull_of_block pull_block)
   in
   let lane =
     Option.map (fun (blk, remaining) -> { blk; rng; remaining; h; own = pull_block }) exact
   in
   { s with lane }
 
-let of_model_twisted ?(name = "model-is") ?(order = 512) ~shift ?probe model rng =
-  of_model_gen ~name ~order ~shift:(Some shift) ~probe model rng
+(* The importance sampler's source: per block, the exact kernel fills
+   the untwisted background (the history stays untwisted, so the
+   conditional means are the original law's), each slot's innovation
+   goes to [probe] in slot order, [shift k] is added, and [of_model]'s
+   foreground runs. No lane: the grouped path never advances it. *)
+let of_model_twisted_reusable ?(name = "model-is") ?(order = 512) ~shift ?probe model rng =
+  let table = table_for ~acf:(Model.background_acf model) ~order in
+  let blk = Hosking.Block.create ~table ~order () in
+  let h = model.Model.transform in
+  let _, sigma2 = Transform.moments h in
+  let pull_block wbuf cbuf off len =
+    if len < 0 || off < 0 || off + len > Array.length wbuf || off + len > Array.length cbuf
+    then invalid_arg "Source.pull_block: range outside the buffers";
+    let k0 = Hosking.Block.generated blk in
+    Hosking.Block.fill blk rng wbuf ~off ~len;
+    (match probe with
+    | None -> ()
+    | Some f ->
+      let g = Hosking.Block.deviates blk in
+      for i = 0 to len - 1 do
+        let k = k0 + i in
+        let std = Hosking.Table.innovation_std table (if k < order then k else order) in
+        f ~k ~innovation:(std *. Array.unsafe_get g i)
+      done);
+    for i = 0 to len - 1 do
+      wbuf.(off + i) <- wbuf.(off + i) +. shift (k0 + i)
+    done;
+    foreground h wbuf cbuf ~off ~len;
+    len
+  in
+  let s =
+    make ~pull_block ~name ~mean:model.Model.mean ~sigma2 ~hurst:model.Model.hurst
+      (pull_of_block pull_block)
+  in
+  let rewind sub =
+    Rng.copy_into ~src:sub ~dst:rng;
+    Hosking.Block.rewind blk
+  in
+  (s, rewind)
+
+let of_model_twisted ?name ?order ~shift ?probe model rng =
+  fst (of_model_twisted_reusable ?name ?order ~shift ?probe model rng)
 
 let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Exact)
     ?(allow_clipping = false) ?horizon ?(phase = 0) ?(priority = false) m rng =
@@ -706,10 +706,6 @@ let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Ex
     done;
     f
   in
-  let wtmp = [| 0.0 |] and ctmp = [| 0 |] in
-  let pull () =
-    if pull_block wtmp ctmp 0 1 = 1 then (wtmp.(0), ctmp.(0)) else raise End_of_stream
-  in
   let ckpt =
     {
       ck_save =
@@ -724,4 +720,5 @@ let of_mpeg ?(name = "mpeg") ?(order = 512) ?(backend = `Hosking) ?(kernel = `Ex
           t := R.int r);
     }
   in
-  make ~pull_block ~ckpt ~name ~mean ~sigma2 ~hurst:m.Mpeg.i_model.Model.hurst pull
+  make ~pull_block ~ckpt ~name ~mean ~sigma2 ~hurst:m.Mpeg.i_model.Model.hurst
+    (pull_of_block pull_block)

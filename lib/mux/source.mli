@@ -139,6 +139,13 @@ val restore : t -> Ss_checkpoint.R.t -> unit
 val next : t -> float * int
 (** Pull the next slot's arrival. *)
 
+val pull_of_block : (float array -> int array -> int -> int -> int) -> unit -> float * int
+(** [pull_of_block pull_block] is the scalar pull that calls
+    [pull_block] on a one-slot block, raising {!End_of_stream} when it
+    comes up short: the scalar pull of every built-in source and of
+    {!Fault.wrap}, so scalar and block pulls drain one stream and are
+    bit-identical by construction. *)
+
 val next_block : t -> float array -> int array -> off:int -> len:int -> int
 (** [next_block t wbuf cbuf ~off ~len] is
     [t.pull_block wbuf cbuf off len]. *)
@@ -223,18 +230,40 @@ val of_model_twisted :
   t
 (** Importance-sampling variant of {!of_model}: the background
     Gaussian process is generated under the mean-shifted law
-    [X'_k = X_k + shift k]. The history kept for the conditional
-    means stores the *untwisted* values and the innovations drawn are
-    those of the untwisted recursion — exactly the sampling scheme of
-    [Ss_fastsim.Is_estimator.replicate] — so a
-    [Ss_fastsim.Likelihood] streaming accumulator fed from [probe]
-    (called once per slot with the global slot index [k] and the
-    innovation, before the shifted value is emitted) reconstructs the
-    exact log likelihood ratio of the path. With [shift = fun _ ->
-    0.0] the emitted arrivals are bit-identical to {!of_model} on the
-    same generator state. Always Hosking-backed: the likelihood
+    [X'_k = X_k + shift k], on the same exact
+    {!Ss_fractal.Hosking.Block} kernel. Each block pull fills the
+    untwisted background (the history kept for the conditional means
+    stores the untwisted values, and the innovations are those of the
+    untwisted recursion — exactly the sampling scheme of
+    [Ss_fastsim.Is_estimator.replicate]), calls [probe] once per slot
+    in slot order with the global slot index [k] and its innovation
+    [Hosking.Table.innovation_std table (min k order) *. g_k], then
+    adds [shift k] and applies {!of_model}'s marginal transform and
+    zero clamp. A [Ss_fastsim.Likelihood] streaming accumulator fed
+    from [probe] therefore reconstructs the exact log likelihood
+    ratio of the path. With [shift = fun _ -> 0.0] the emitted
+    arrivals are bit-identical to {!of_model} on the same generator
+    state. Always Hosking-backed and exact-kernel: the likelihood
     accumulator needs the per-step innovations, which the
-    materializing Davies–Harte backend does not produce. *)
+    materializing Davies–Harte backend does not produce. Carries no
+    {!lane} (never advanced as part of a group) and no checkpoint
+    support: the likelihood state lives with the caller. *)
+
+val of_model_twisted_reusable :
+  ?name:string ->
+  ?order:int ->
+  shift:(int -> float) ->
+  ?probe:(k:int -> innovation:float -> unit) ->
+  Ss_core.Model.t ->
+  Ss_stats.Rng.t ->
+  t * (Ss_stats.Rng.t -> unit)
+(** {!of_model_twisted}, together with a rewind: [rewind sub] copies
+    generator [sub] into the source's generator (the one passed in)
+    and puts the source back at slot 0 with
+    {!Ss_fractal.Hosking.Block.rewind}, so its next pulls are those of
+    a fresh [of_model_twisted ... (Rng.copy sub)], without allocating
+    a new O(order) ring. {!Mux_is} reuses one such source per
+    importance-sampling replication. *)
 
 val of_mpeg :
   ?name:string ->
@@ -265,23 +294,12 @@ val of_mpeg :
 val background_stream :
   acf:Ss_fractal.Acf.t -> order:int -> Ss_stats.Rng.t -> unit -> float
 (** The underlying streaming standard-normal background generator
-    (exposed for tests and custom marginals): successive calls yield
-    the truncated-Hosking path, bit-identical to
+    (exposed for tests and custom marginals): a one-slot view of the
+    exact {!Ss_fractal.Hosking.Block} kernel, so successive calls
+    yield the truncated-Hosking path, bit-identical to
     [Ss_fractal.Hosking.generate_truncated ~acf ~max_order:order]
     driven by the same generator state.
     @raise Invalid_argument if [order < 1] or [order > 19_999]. *)
-
-val background_stream_twisted :
-  acf:Ss_fractal.Acf.t ->
-  order:int ->
-  shift:(int -> float) ->
-  ?probe:(k:int -> innovation:float -> unit) ->
-  Ss_stats.Rng.t ->
-  unit ->
-  float
-(** {!background_stream} under the mean-shifted law, with the same
-    untwisted-history / innovation-probe contract as
-    {!of_model_twisted}. *)
 
 val table_for : acf:Ss_fractal.Acf.t -> order:int -> Ss_fractal.Hosking.Table.t
 (** The cached Hosking table backing model sources at this (ACF,

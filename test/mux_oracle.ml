@@ -5,7 +5,8 @@
    fast lane. Its float operations are the engine's, in the engine's
    order, so the two agree bitwise and any difference is an engine
    bug. Arguments are not validated: callers pass what [Mux.run]
-   accepts. *)
+   accepts. [observe], which the engine does not have, is called after
+   every slot with the slot and its queue. *)
 
 module Mux = Ss_mux.Mux
 module Source = Ss_mux.Source
@@ -15,8 +16,8 @@ module P2 = Online.P2
 
 let max_classes = 64
 
-let run ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ]) ?probe
-    ?police ?trajectory ~service ~slots sources =
+let run ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ])
+    ?(stop_above = infinity) ?observe ?police ?trajectory ~service ~slots sources =
   let n = Array.length sources in
   let estimators () = List.map (fun p -> (p, P2.create ~p)) quantiles in
   let quantiles_of = List.map (fun (p, e) -> (p, P2.quantile e)) in
@@ -36,7 +37,7 @@ let run ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ]
   (* Residual admitted work per (class, source), for the trajectory. *)
   let cells = Array.make_matrix max_classes n 0.0 in
   let hits = Array.make (List.length thresholds) 0 in
-  for t = 0 to slots - 1 do
+  let slot t =
     (* Arrivals. A source that raised [End_of_stream] has departed and
        sends nothing; corrupt work (NaN, negative, infinite) is zeroed
        and counted; the policer throttles, demotes or discards. *)
@@ -150,8 +151,19 @@ let run ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ]
     List.iter (fun (_, e) -> P2.add e !q) queue_est;
     List.iter (fun (_, e) -> P2.add e (!q /. service)) delay_est;
     List.iteri (fun j b -> if !q > b then hits.(j) <- hits.(j) + 1) thresholds;
-    Option.iter (fun f -> f t !q) probe
-  done;
+    Option.iter (fun f -> f t !q) observe
+  in
+  (* The run stops after the first slot whose queue exceeds
+     [stop_above] and covers slots 0..that slot. *)
+  let rec go t =
+    if t = slots then None
+    else begin
+      slot t;
+      if !q > stop_above then Some t else go (t + 1)
+    end
+  in
+  let first_passage = go 0 in
+  let slots = match first_passage with Some t -> t + 1 | None -> slots in
   let fslots = float_of_int slots in
   let sum = Array.fold_left ( +. ) 0.0 in
   let ratio a b = if b > 0.0 then a /. b else 0.0 in
@@ -183,4 +195,5 @@ let run ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ]
             discarded = discarded.(i);
             departed_at = departed_at.(i);
           });
+    first_passage;
   }

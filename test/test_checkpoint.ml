@@ -539,15 +539,15 @@ let mux_sources () =
   in
   Fault.wrap_all ~rng:(Rng.create ~seed:2024) specs srcs
 
-let run_mux ?pool ?shards ?checkpoint ?resume ?(service = 2.2) () =
+let mux_police srcs =
+  Police.create
+    ~config:{ Police.default with window = 512 }
+    (Array.map Admission.descr_of_source srcs)
+
+let run_mux ?pool ?shards ?stop_above ?checkpoint ?resume ?(service = 2.2) () =
   let srcs = mux_sources () in
-  let police =
-    Police.create
-      ~config:{ Police.default with window = 512 }
-      (Array.map Admission.descr_of_source srcs)
-  in
-  Mux.run ?pool ?shards ?checkpoint ?resume ~police ~buffer:6.0 ~thresholds:[ 1.0; 3.0 ]
-    ~service ~slots:2048 srcs
+  Mux.run ?pool ?shards ?stop_above ?checkpoint ?resume ~police:(mux_police srcs) ~buffer:6.0
+    ~thresholds:[ 1.0; 3.0 ] ~service ~slots:2048 srcs
 
 let capture_hook every =
   let first = ref None and last = ref None in
@@ -646,16 +646,42 @@ let test_mux_fft_resume_identity () =
   if not (Mux.equal_report base resumed) then
     Alcotest.fail "fft resume at shards=1 of a shards=4 snapshot differs"
 
+let test_mux_stopped_resume_identity () =
+  (* A run stopped by [stop_above] snapshots like any other: resuming
+     its first snapshot stops at the same slot with the same report,
+     bitwise. The level is the highest queue before the first new
+     record from slot 600 on (from the oracle's path), so the run
+     stops there, after snapshots at [every = 256]. At the default
+     service the queue meets the buffer within 10 slots; at 2.6 it
+     first does so past slot 1000. *)
+  let slots = 2048 and service = 2.6 in
+  let path = Array.make slots nan in
+  let srcs = mux_sources () in
+  ignore
+    (Mux_oracle.run ~observe:(fun t q -> path.(t) <- q) ~police:(mux_police srcs) ~buffer:6.0
+       ~thresholds:[ 1.0; 3.0 ] ~service ~slots srcs
+      : Mux.report);
+  let rec record t best =
+    if t = slots then Alcotest.fail "no new queue record after slot 600: vacuous"
+    else if t >= 600 && path.(t) > best then (best, t)
+    else record (t + 1) (Float.max best path.(t))
+  in
+  let level, tau = record 0 neg_infinity in
+  let base = run_mux ~stop_above:level ~service () in
+  if base.Mux.first_passage <> Some tau then
+    Alcotest.failf "stopped at %s, expected slot %d"
+      (Option.fold ~none:"none" ~some:string_of_int base.Mux.first_passage) tau;
+  let ck, first, _ = capture_hook 256 in
+  let armed = run_mux ~stop_above:level ~service ~checkpoint:ck () in
+  if not (Mux.equal_report base armed) then Alcotest.fail "checkpoint hook perturbed the run";
+  let resumed = run_mux ~stop_above:level ~service ~resume:(reader (Option.get !first)) () in
+  if not (Mux.equal_report base resumed) then
+    Alcotest.fail "resumed stopped run differs from the uninterrupted one"
+
 let test_mux_checkpoint_refusals () =
   raises_invalid "interval < 1" (fun () ->
       let ck = { Mux.every = 0; save = (fun ~slot:_ _ -> ()) } in
       run_mux ~checkpoint:ck ());
-  (* A probe's observer state lives outside the snapshot (the
-     importance sampler's likelihoods), so probed runs refuse it. *)
-  raises_invalid "probe + checkpoint" (fun () ->
-      let ck, _, _ = capture_hook 256 in
-      let srcs = mux_sources () in
-      Mux.run ~probe:(fun _ _ -> ()) ~checkpoint:ck ~service:2.2 ~slots:64 srcs);
   (* Importance-sampling sources carry state outside the snapshot. *)
   raises_invalid ~contains:"checkpoint" "twisted source refused" (fun () ->
       let m = Lazy.force small_model in
@@ -899,6 +925,7 @@ let () =
           tc "resume == uninterrupted" test_mux_resume_identity;
           tc "shard/domain invariance" test_mux_resume_shard_and_domain_invariant;
           tc "fft kernel resume == uninterrupted" test_mux_fft_resume_identity;
+          tc "stopped run resume == uninterrupted" test_mux_stopped_resume_identity;
           tc "refusals" test_mux_checkpoint_refusals;
         ] );
       ( "abr",

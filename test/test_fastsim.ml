@@ -342,6 +342,26 @@ let test_is_mean_stop_step_bounded () =
   let mean_stop = Is.mean_stop_step cfg ~replications:500 (Rng.create ~seed:12) in
   if mean_stop < 1.0 || mean_stop > 100.0 then Alcotest.failf "bad mean stop %.1f" mean_stop
 
+let test_is_config_non_finite () =
+  (* A NaN or infinite buffer is never crossed and printed p = 0; each
+     non-finite parameter is refused by name, as Mux_is refuses it. *)
+  let table = white_table 10 in
+  let refused name ?(service = 1.0) ?(buffer = 1.0) ?(twist = 0.0) () =
+    match
+      Is.make_config ~table ~arrival:identity_arrival ~service ~buffer ~horizon:10 ~twist ()
+    with
+    | exception Invalid_argument m ->
+      let tag = "Is_estimator: " ^ name in
+      if not (String.starts_with ~prefix:tag m) then
+        Alcotest.failf "%s: message %S does not start with %S" name m tag
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  List.iter (fun service -> refused "service" ~service ()) [ Float.nan; infinity; 0.0 ];
+  List.iter
+    (fun buffer -> refused "buffer" ~buffer ())
+    [ Float.nan; infinity; neg_infinity; -1.0 ];
+  List.iter (fun twist -> refused "twist" ~twist ()) [ Float.nan; infinity; neg_infinity ]
+
 let test_is_config_validation () =
   let table = white_table 10 in
   raises_invalid "service" (fun () ->
@@ -568,6 +588,7 @@ let () =
           tc "replication stop step" test_is_replication_stop_step;
           tc "mean stop step" test_is_mean_stop_step_bounded;
           tc "config validation" test_is_config_validation;
+          tc "non-finite config refused by name" test_is_config_non_finite;
           tc "Davies-Harte backend" test_is_davies_harte_backend;
           tc "deterministic" test_is_deterministic_given_seed;
         ] );

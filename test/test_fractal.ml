@@ -287,6 +287,51 @@ let block_bytes b =
   Hosking.Block.save b w;
   Ss_checkpoint.W.contents w
 
+let test_hosking_block_rewind () =
+  (* After 1000 slots, a rewind onto substream s fills what a fresh
+     generator fills on s, and leaves a fresh generator's state
+     (checkpoint bytes included). [deviates] are the draws of the last
+     fill. The fft kernel refuses both by name. *)
+  let acf = Acf.fgn ~h:0.85 in
+  let order = 32 and n = 300 in
+  let table = Hosking.Table.make ~acf ~n:(order + 1) in
+  let used = Hosking.Block.create ~table ~order () in
+  Hosking.Block.fill used (Rng.create ~seed:22) (Array.make 1000 0.0) ~off:0 ~len:1000;
+  Hosking.Block.rewind used;
+  let fresh = Hosking.Block.create ~table ~order () in
+  if block_bytes used <> block_bytes fresh then Alcotest.fail "rewound state is not a fresh one";
+  let s = Rng.create ~seed:23 in
+  let a = Array.make n 0.0 and b = Array.make n 0.0 in
+  Hosking.Block.fill used (Rng.copy s) a ~off:0 ~len:n;
+  Hosking.Block.fill fresh (Rng.copy s) b ~off:0 ~len:n;
+  Alcotest.(check int) "position" n (Hosking.Block.generated used);
+  for i = 0 to n - 1 do
+    if not (Int64.equal (Int64.bits_of_float a.(i)) (Int64.bits_of_float b.(i))) then
+      Alcotest.failf "slot %d: rewound generator differs from a fresh one" i
+  done;
+  let g = Array.make n 0.0 in
+  Rng.fill_gaussian (Rng.copy s) g ~off:0 ~len:n;
+  let d = Hosking.Block.deviates used in
+  for i = 0 to n - 1 do
+    if not (Int64.equal (Int64.bits_of_float g.(i)) (Int64.bits_of_float d.(i))) then
+      Alcotest.failf "deviate %d is not the fill's draw" i
+  done;
+  let fft =
+    Hosking.Block.create ~fft_plan:(Hosking.Fft_plan.make ~table ~order) ~table ~order ()
+  in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument m ->
+      let names_fft = ref false in
+      for i = 0 to String.length m - 10 do
+        if String.sub m i 10 = "fft kernel" then names_fft := true
+      done;
+      if not !names_fft then Alcotest.failf "%s: message %S does not name the fft kernel" what m
+    | _ -> Alcotest.failf "%s: fft kernel accepted" what
+  in
+  refused "rewind" (fun () -> Hosking.Block.rewind fft);
+  refused "deviates" (fun () -> ignore (Hosking.Block.deviates fft : float array))
+
 let test_hosking_fill_many_matches_fill () =
   (* [fill_many] over n generators is [fill] on each in lane order:
      the same values, the same state (checkpoint bytes) and the same
@@ -1398,6 +1443,7 @@ let () =
           tc "truncated prefix exact" test_hosking_truncated_prefix_exact;
           tc "truncated acf close" test_hosking_truncated_acf_close;
           tc "block kernel = truncated" test_hosking_block_matches_truncated;
+          tc "block rewind = fresh generator" test_hosking_block_rewind;
           tc "fill_many = fill, bitwise" test_hosking_fill_many_matches_fill;
           tc "fill_many invalid" test_hosking_fill_many_invalid;
         ] );

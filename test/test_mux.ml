@@ -353,6 +353,40 @@ let test_source_twisted_zero_shift_identity () =
   done;
   Alcotest.(check int) "probe saw every innovation" 300 !probed
 
+let test_source_twisted_fixture () =
+  (* Captured as [Int64.bits_of_float] from the per-slot scalar
+     recursion that twisted sources ran before they moved onto the
+     block kernel: a non-constant shift, pulled in ragged blocks. *)
+  let m = Lazy.force small_model in
+  let inn = ref 0.0 and calls = ref 0 in
+  let s =
+    Source.of_model_twisted ~order:48
+      ~shift:(fun k -> 0.25 +. (0.05 *. float_of_int (k mod 7)))
+      ~probe:(fun ~k ~innovation ->
+        if k <> !calls then Alcotest.failf "innovation %d reported as %d" !calls k;
+        incr calls;
+        inn := !inn +. innovation)
+      m (Rng.create ~seed:17)
+  in
+  let n = 300 in
+  let w = Array.make n nan and c = Array.make n (-1) in
+  let got = ref 0 in
+  while !got < n do
+    got := !got + Source.next_block s w c ~off:!got ~len:(Stdlib.min 37 (n - !got))
+  done;
+  let check name want x =
+    if Int64.bits_of_float x <> want then
+      Alcotest.failf "%s: got %.17g (0x%LxL), want %.17g" name x (Int64.bits_of_float x)
+        (Int64.float_of_bits want)
+  in
+  Alcotest.(check int) "one innovation per slot" n !calls;
+  check "sum of arrivals" 0x414377bea35c4953L (Array.fold_left ( +. ) 0.0 w);
+  check "sum of innovations" 0xbfe400dd758c6934L !inn;
+  check "slot 0" 0x40b9720000000000L w.(0);
+  check "slot 47" 0x40b7f10000000000L w.(47);
+  check "slot 48" 0x40b93d0000000000L w.(48);
+  check "slot 299" 0x40c3ceb28756e50eL w.(299)
+
 let test_source_of_mpeg_classes () =
   let m = Lazy.force small_mpeg in
   let gop = m.Ss_core.Mpeg.gop in
@@ -380,19 +414,31 @@ let drain_blocks s bs wbuf cbuf n =
 let bits = Int64.bits_of_float
 let same_floats a b = Array.for_all2 (fun x y -> bits x = bits y) a b
 
+(* An exact model source's first [n] slots computed independently of
+   the block kernel: the truncated-Hosking recursion the kernel is
+   pinned against in [test_fractal], then the scalar marginal
+   transform and the zero clamp. *)
+let reference_slots m ~order ~n seed =
+  let bg =
+    Hosking.generate_truncated ~acf:(Ss_core.Model.background_acf m) ~n ~max_order:order
+      (Rng.create ~seed)
+  in
+  Array.map
+    (fun x ->
+      let w = Ss_fractal.Transform.apply1 m.Ss_core.Model.transform x in
+      if 0.0 >= w then 0.0 else w)
+    bg
+
 let test_source_block_scalar_bit_identity () =
   (* The tentpole contract: for every order and block size, the block
-     pull, the scalar pull on the block-backed source, and the
-     pre-existing closure-based stream (of_model_twisted with zero
-     shift) produce the same slots bit for bit. *)
+     pull, the scalar pull on the block-backed source, and an
+     independent reference (truncated Hosking, scalar transform,
+     clamp) produce the same slots bit for bit. *)
   let m = Lazy.force small_model in
   List.iter
     (fun order ->
       let n = order + 300 in
-      let legacy =
-        Source.of_model_twisted ~order ~shift:(fun _ -> 0.0) m (Rng.create ~seed:4311)
-      in
-      let expect = Array.init n (fun _ -> fst (Source.next legacy)) in
+      let expect = reference_slots m ~order ~n 4311 in
       let scalar = Source.of_model ~order m (Rng.create ~seed:4311) in
       Array.iteri
         (fun i x ->
@@ -441,14 +487,11 @@ let test_source_mpeg_block_scalar_bit_identity () =
 let test_source_block_scalar_interleave_coherent () =
   (* Scalar and block pulls on one source must consume the same
      underlying stream: mixing them at ragged boundaries still yields
-     the closure-based stream's slots in order. *)
+     the independent reference's slots in order. *)
   let m = Lazy.force small_model in
   let order = 64 in
   let n = 257 in
-  let legacy =
-    Source.of_model_twisted ~order ~shift:(fun _ -> 0.0) m (Rng.create ~seed:4313)
-  in
-  let expect = Array.init n (fun _ -> fst (Source.next legacy)) in
+  let expect = reference_slots m ~order ~n 4313 in
   let s = Source.of_model ~order m (Rng.create ~seed:4313) in
   let wbuf = Array.make n nan and cbuf = Array.make n 0 in
   let i = ref 0 and step = ref 0 in
@@ -788,14 +831,16 @@ let test_mux_matches_trace_sim () =
   let service =
     Lindley.utilization_service ~mean_arrival:(D.mean arrivals) ~utilization
   in
-  let got = Array.make (Array.length arrivals) nan in
-  let _report =
-    Mux.run
-      ~probe:(fun t q -> got.(t) <- q)
-      ~service ~slots:(Array.length arrivals)
-      [| Source.of_array arrivals |]
+  let slots = Array.length arrivals in
+  let got = Array.make slots nan in
+  let oracle =
+    Mux_oracle.run
+      ~observe:(fun t q -> got.(t) <- q)
+      ~service ~slots [| Source.of_array arrivals |]
   in
-  Array.iteri (fun i q -> close ~eps:0.0 (Printf.sprintf "slot %d" i) q got.(i)) expected
+  Array.iteri (fun i q -> close ~eps:0.0 (Printf.sprintf "slot %d" i) q got.(i)) expected;
+  if not (Mux.equal_report oracle (Mux.run ~service ~slots [| Source.of_array arrivals |])) then
+    Alcotest.fail "engine differs from the oracle"
 
 let two_constant_sources ~w0 ~w1 ~c0 ~c1 =
   [|
@@ -820,18 +865,20 @@ let test_mux_conservation () =
   if r.Mux.carried_utilization > 1.0 +. 1e-9 then Alcotest.fail "carried load above capacity"
 
 let test_mux_buffer_bounds_queue () =
-  let rng = Rng.create ~seed:53 in
-  let src =
+  let src () =
+    let rng = Rng.create ~seed:53 in
     Source.make ~name:"exp" ~mean:1.0 ~sigma2:1.0 ~hurst:0.5 (fun () ->
         (Rng.exponential rng ~rate:0.5, 0))
   in
   let buffer = 3.0 in
-  let r =
-    Mux.run ~buffer
-      ~probe:(fun t q ->
+  let oracle =
+    Mux_oracle.run ~buffer
+      ~observe:(fun t q ->
         if q > buffer +. 1e-9 then Alcotest.failf "queue %g above buffer at slot %d" q t)
-      ~service:1.0 ~slots:2000 [| src |]
+      ~service:1.0 ~slots:2000 [| src () |]
   in
+  let r = Mux.run ~buffer ~service:1.0 ~slots:2000 [| src () |] in
+  if not (Mux.equal_report oracle r) then Alcotest.fail "engine differs from the oracle";
   close ~eps:1e-9 "max queue bounded" (Stdlib.min r.Mux.max_queue buffer) r.Mux.max_queue
 
 let test_mux_no_loss_when_underloaded () =
@@ -954,21 +1001,24 @@ let test_mux_queue_quantiles_ordered () =
 let test_mux_p2_quantiles_vs_exact_on_lrd_stream () =
   (* The P2 estimates reported by Mux.run must track the exact sorted
      quantiles of the very queue-length stream they were fed — here a
-     long-range-dependent one collected through the probe. *)
-  let bg = Source.background_stream ~acf:(Acf.fgn ~h:0.75) ~order:64 (Rng.create ~seed:77) in
-  let src =
+     long-range-dependent one, collected by the oracle's observer from
+     a run the engine reproduces bitwise. *)
+  let src () =
+    let bg = Source.background_stream ~acf:(Acf.fgn ~h:0.75) ~order:64 (Rng.create ~seed:77) in
     Source.make ~name:"lrd" ~mean:1.0 ~sigma2:1.0 ~hurst:0.75 (fun () ->
         (Stdlib.max 0.0 (1.0 +. bg ()), 0))
   in
   let slots = 30_000 in
   let qs = Array.make slots 0.0 in
-  let r =
-    Mux.run
+  let oracle =
+    Mux_oracle.run
       ~quantiles:[ 0.5; 0.9; 0.99 ]
       ~service:1.5 ~slots
-      ~probe:(fun t q -> qs.(t) <- q)
-      [| src |]
+      ~observe:(fun t q -> qs.(t) <- q)
+      [| src () |]
   in
+  let r = Mux.run ~quantiles:[ 0.5; 0.9; 0.99 ] ~service:1.5 ~slots [| src () |] in
+  if not (Mux.equal_report oracle r) then Alcotest.fail "engine differs from the oracle";
   List.iter
     (fun (p, est) ->
       let exact = D.quantile qs p in
@@ -1094,6 +1144,16 @@ let capture_trajectory ~slots ~n =
   in
   (served, delays, sink)
 
+(* The engine against the oracle's run on identically built sources,
+   trajectory rows included, bitwise. *)
+let engine_matches_oracle_trajectory oracle ~served ~delays ~service ~slots ~n sources =
+  let served', delays', sink = capture_trajectory ~slots ~n in
+  let r = Mux.run ~trajectory:sink ~service ~slots sources in
+  if not (Mux.equal_report oracle r) then Alcotest.fail "engine differs from the oracle";
+  let same_rows a b = Array.for_all2 same_floats a b in
+  if not (same_rows served served' && same_rows delays delays') then
+    Alcotest.fail "engine trajectory rows differ from the oracle's"
+
 let test_mux_trajectory_conservation () =
   (* Two finite sources, one per priority class; once both depart the
      queue drains, so each source's captured served work must sum to
@@ -1102,24 +1162,27 @@ let test_mux_trajectory_conservation () =
   let n0 = 60 in
   let a0 = Array.init n0 (fun t -> float_of_int (1 + (t mod 5))) in
   let a1 = Array.init n0 (fun t -> if t mod 3 = 0 then 4.0 else 0.5) in
-  let k1 = ref 0 in
-  let src0 = Source.of_array ~name:"s0" a0 in
-  let src1 =
-    Source.make ~name:"s1" ~mean:1.7 ~sigma2:0.5 ~hurst:0.5 (fun () ->
-        if !k1 >= n0 then raise Source.End_of_stream
-        else begin
-          let w = a1.(!k1) in
-          incr k1;
-          (w, 1)
-        end)
+  let sources () =
+    let k1 = ref 0 in
+    [|
+      Source.of_array ~name:"s0" a0;
+      Source.make ~name:"s1" ~mean:1.7 ~sigma2:0.5 ~hurst:0.5 (fun () ->
+          if !k1 >= n0 then raise Source.End_of_stream
+          else begin
+            let w = a1.(!k1) in
+            incr k1;
+            (w, 1)
+          end);
+    |]
   in
   let slots = 200 and service = 3.0 in
-  let served, _, sink = capture_trajectory ~slots ~n:2 in
+  let served, delays, sink = capture_trajectory ~slots ~n:2 in
   let q_path = Array.make slots 0.0 in
   let r =
-    Mux.run ~trajectory:sink ~probe:(fun t q -> q_path.(t) <- q) ~service
-      ~slots [| src0; src1 |]
+    Mux_oracle.run ~trajectory:sink ~observe:(fun t q -> q_path.(t) <- q) ~service ~slots
+      (sources ())
   in
+  engine_matches_oracle_trajectory r ~served ~delays ~service ~slots ~n:2 (sources ());
   for i = 0 to 1 do
     let total = ref 0.0 in
     for t = 0 to slots - 1 do
@@ -1163,14 +1226,15 @@ let test_mux_trajectory_does_not_perturb_report () =
 let test_mux_trajectory_single_source_delay_exact () =
   (* With one class-0 source the virtual delay is the Lindley queue
      over service, bit for bit. *)
-  let src = Source.of_array ~cycle:true (Array.init 37 (fun t -> float_of_int (t mod 7))) in
+  let src () = Source.of_array ~cycle:true (Array.init 37 (fun t -> float_of_int (t mod 7))) in
   let slots = 500 and service = 3.1 in
-  let _, delays, sink = capture_trajectory ~slots ~n:1 in
+  let served, delays, sink = capture_trajectory ~slots ~n:1 in
   let q_path = Array.make slots 0.0 in
-  let _ =
-    Mux.run ~trajectory:sink ~probe:(fun t q -> q_path.(t) <- q) ~service
-      ~slots [| src |]
+  let oracle =
+    Mux_oracle.run ~trajectory:sink ~observe:(fun t q -> q_path.(t) <- q) ~service ~slots
+      [| src () |]
   in
+  engine_matches_oracle_trajectory oracle ~served ~delays ~service ~slots ~n:1 [| src () |];
   for t = 0 to slots - 1 do
     if Int64.bits_of_float delays.(t).(0)
        <> Int64.bits_of_float (q_path.(t) /. service)
@@ -1493,40 +1557,38 @@ let test_mux_sharded_trajectory_identity () =
         d1)
     t1 t4
 
-let test_mux_sharded_probe_dispatch () =
-  (* A probed run stages one slot per block, at any shard count and
-     with or without a pool: its report and probe path equal the
-     oracle's bitwise. And since the importance sampler weights a
-     replication by the innovations drawn up to its first passage, a
-     probe that raises at slot [stop] must leave every source having
-     produced exactly slots 0..stop. [stop + 1] is prime, so any
-     staging block of 2..stop slots would overshoot it. *)
-  let n = 6 and slots = 200 and stop = 36 and service = 5.0 in
-  (* Returns the report (None when the probe stopped the run), the
-     queue path and the slots each source produced through block
-     pulls (the engine's path; the oracle pulls slot by slot). *)
-  let run ?stop f =
-    let pulls = Array.make n 0 and path = Array.make slots nan in
-    let srcs =
-      Array.mapi
-        (fun i (s : Source.t) ->
-          let pull_block w c off len =
-            let f = s.Source.pull_block w c off len in
-            pulls.(i) <- pulls.(i) + f;
-            f
-          in
-          { s with Source.pull_block })
-        (shard_sources ~n ~seed:800)
-    in
-    let probe t q =
-      path.(t) <- q;
-      if Some t = stop then raise Exit
-    in
-    let r = try Some (f ~probe srcs) with Exit -> None in
-    (r, path, pulls)
+let test_mux_sharded_stop_dispatch () =
+  (* A run stopped by [stop_above] stages 8 slots per block, at any
+     shard count and with or without a pool: its report, first
+     passage included, equals the oracle's bitwise, and every source
+     has produced exactly the slots of the stopping slot's block (or
+     up to its departure, if that comes first). The level is the
+     highest queue before the first new record from slot 33 on, so
+     the run stops at that record; 33 mod 8 = 1, so the block
+     overshoots the stop by up to 6 slots. *)
+  let n = 6 and slots = 200 and service = 5.0 in
+  let path = Array.make slots nan in
+  ignore
+    (Mux_oracle.run ~observe:(fun t q -> path.(t) <- q) ~service ~slots
+       (shard_sources ~n ~seed:800)
+      : Mux.report);
+  let rec record t best =
+    if t = slots then Alcotest.fail "no new queue record after slot 33: vacuous"
+    else if t >= 33 && path.(t) > best then (best, t)
+    else record (t + 1) (Float.max best path.(t))
   in
-  let oracle f = f (fun ~probe srcs -> Mux_oracle.run ~probe ~service ~slots srcs) in
-  let full, full_path, _ = oracle run and _, stop_path, _ = oracle (run ~stop) in
+  let level, tau = record 0 neg_infinity in
+  let oracle = Mux_oracle.run ~stop_above:level ~service ~slots (shard_sources ~n ~seed:800) in
+  if oracle.Mux.first_passage <> Some tau then
+    Alcotest.failf "oracle stopped at %s, expected slot %d"
+      (Option.fold ~none:"none" ~some:string_of_int oracle.Mux.first_passage) tau;
+  Alcotest.(check int) "oracle covers 0..tau" (tau + 1) oracle.Mux.slots;
+  let produced = Stdlib.min slots (8 * ((tau / 8) + 1)) in
+  let available =
+    Array.map
+      (fun s -> Source.next_block s (Array.make slots 0.0) (Array.make slots 0) ~off:0 ~len:slots)
+      (shard_sources ~n ~seed:800)
+  in
   let pool = Pool.create ~domains:2 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   List.iter
@@ -1535,23 +1597,41 @@ let test_mux_sharded_probe_dispatch () =
         Printf.sprintf "shards=%s pool=%b"
           (Option.fold ~none:"default" ~some:string_of_int shards) (pool <> None)
       in
-      let engine ~probe srcs = Mux.run ?pool ?shards ~probe ~service ~slots srcs in
-      let r, path, _ = run engine in
-      if not (Mux.equal_report (Option.get full) (Option.get r) && same_floats full_path path)
-      then Alcotest.failf "%s: probed run differs from the oracle" label;
-      let r, path, pulls = run ~stop engine in
-      if r <> None then Alcotest.failf "%s: the probe did not stop the run" label;
-      if not (same_floats stop_path path) then Alcotest.failf "%s: stopped path differs" label;
+      let pulls = Array.make n 0 in
+      let srcs =
+        Array.mapi
+          (fun i (s : Source.t) ->
+            let pull_block w c off len =
+              let f = s.Source.pull_block w c off len in
+              pulls.(i) <- pulls.(i) + f;
+              f
+            in
+            { s with Source.pull_block })
+          (shard_sources ~n ~seed:800)
+      in
+      let r = Mux.run ?pool ?shards ~stop_above:level ~service ~slots srcs in
+      if not (Mux.equal_report oracle r) then
+        Alcotest.failf "%s: stopped run differs from the oracle" label;
       Array.iteri
         (fun i k ->
-          if k <> stop + 1 then
-            Alcotest.failf "%s: source %d pulled %d times, expected %d" label i k (stop + 1))
-        pulls)
+          let want = Stdlib.min produced available.(i) in
+          if k <> want then
+            Alcotest.failf "%s: source %d produced %d slots, expected %d" label i k want)
+        pulls;
+      let full =
+        Mux.run ?pool ?shards ~stop_above:infinity ~service ~slots (shard_sources ~n ~seed:800)
+      in
+      if full.Mux.first_passage <> None || full.Mux.slots <> slots then
+        Alcotest.failf "%s: stop_above = infinity stopped the run" label)
     (List.concat_map
        (fun pool -> List.map (fun s -> (pool, s)) [ None; Some 1; Some 2; Some 4; Some 7 ])
        [ None; Some pool ]);
   raises_invalid "shards < 1" (fun () ->
-      ignore (Mux.run ~shards:0 ~service ~slots (shard_sources ~n ~seed:800)))
+      ignore (Mux.run ~shards:0 ~service ~slots (shard_sources ~n ~seed:800)));
+  raises_invalid "stop_above NaN" (fun () ->
+      ignore (Mux.run ~stop_above:nan ~service ~slots (shard_sources ~n ~seed:800)));
+  raises_invalid "stop_above < 0" (fun () ->
+      ignore (Mux.run ~stop_above:(-1.0) ~service ~slots (shard_sources ~n ~seed:800)))
 
 (* ------------------------------------------------------------------ *)
 (* Grouped exact synthesis: same-model sources advanced side by side     *)
@@ -1781,9 +1861,9 @@ let prop_mux_matches_oracle =
         if slots > 1 && Rng.float rng < 0.35 then Some (Rng.int_range rng 1 (slots - 1))
         else None
       in
-      let probe = split = None && Rng.bool rng in
-      (* One run on freshly built sources: its report, its trajectory
-         rows and its probe path. *)
+      let stop = Rng.bool rng in
+      (* One run on freshly built sources: its report and its
+         trajectory rows. *)
       let run engine =
         let srcs = mixed_sources ~seed kinds in
         let police =
@@ -1794,31 +1874,42 @@ let prop_mux_matches_oracle =
                  (Array.map Admission.descr_of_source srcs))
           else None
         in
-        let rows = ref [] and path = Array.make slots nan in
+        let rows = ref [] in
         let trajectory ~slot ~served ~delays =
           rows := (slot, Array.copy served, Array.copy delays) :: !rows
         in
         let trajectory = if traj then Some trajectory else None in
-        let probe = if probe then Some (fun t q -> path.(t) <- q) else None in
-        let r = engine ?police ?trajectory ?probe srcs in
-        (r, List.rev !rows, path)
+        let r = engine ?police ?trajectory srcs in
+        (r, List.rev !rows)
       in
-      let same (r1, rows1, path1) (r2, rows2, path2) =
+      let same (r1, rows1) (r2, rows2) =
         Mux.equal_report r1 r2
         && List.equal
              (fun (s1, w1, d1) (s2, w2, d2) -> s1 = s2 && same_floats w1 w2 && same_floats d1 d2)
              rows1 rows2
-        && same_floats path1 path2
       in
-      let oracle =
-        run (fun ?police ?trajectory ?probe srcs ->
-            Mux_oracle.run ?buffer ~thresholds ~quantiles ?probe ?police ?trajectory ~service
-              ~slots srcs)
+      let oracle ?stop_above ?observe () =
+        run (fun ?police ?trajectory srcs ->
+            Mux_oracle.run ?buffer ~thresholds ~quantiles ?stop_above ?observe ?police
+              ?trajectory ~service ~slots srcs)
       in
+      (* A stopping level from the oracle's own unstopped path, just
+         under the queue of a random slot, so the run stops at or
+         before that slot. *)
+      let stop_above =
+        if stop then begin
+          let path = Array.make slots 0.0 in
+          ignore (oracle ~observe:(fun t q -> path.(t) <- q) ());
+          let q = path.(Rng.int_range rng 0 (slots - 1)) in
+          Some (if q > 0.0 then Float.pred q else 0.0)
+        end
+        else None
+      in
+      let oracle = oracle ?stop_above () in
       let pool = if pooled then Some (Pool.create ~domains:2) else None in
       Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
-      let engine ?checkpoint ?resume ?police ?trajectory ?probe srcs =
-        Mux.run ?pool ~shards ?buffer ~thresholds ~quantiles ?probe ?police ?trajectory
+      let engine ?checkpoint ?resume ?police ?trajectory srcs =
+        Mux.run ?pool ~shards ?buffer ~thresholds ~quantiles ?stop_above ?police ?trajectory
           ?checkpoint ?resume ~service ~slots srcs
       in
       match split with
@@ -1839,8 +1930,8 @@ let prop_mux_matches_oracle =
         match !first with
         | None -> true
         | Some (slot, resume) ->
-          let r, rows, path = oracle in
-          same (r, List.filter (fun (s, _, _) -> s >= slot) rows, path)
+          let r, rows = oracle in
+          same (r, List.filter (fun (s, _, _) -> s >= slot) rows)
             (run (engine ?checkpoint:None ~resume)))
 
 (* ------------------------------------------------------------------ *)
@@ -1986,6 +2077,63 @@ let test_mux_is_cold_moments_under_pool () =
   check_bits "mean = original transform's" (Int64.bits_of_float mu0) mu;
   check_bits "variance = original transform's" (Int64.bits_of_float var0) var
 
+(* The shape of the paper's Fig 14 runs: 16 sources at order 256. *)
+let mux_is_wide ?(twist = 0.75) () =
+  let m = Lazy.force small_model in
+  let mean = m.Ss_core.Model.mean in
+  Mux_is.make_config ~model:m ~sources:16 ~order:256 ~service:(16.0 *. mean /. 0.7)
+    ~buffer:(120.0 *. mean) ~slots:300 ~twist ()
+
+let same_replication (a : Mux_is.replication) (b : Mux_is.replication) =
+  a.Mux_is.hit = b.Mux_is.hit
+  && Int64.equal (Int64.bits_of_float a.Mux_is.log_weight) (Int64.bits_of_float b.Mux_is.log_weight)
+  && a.Mux_is.stop_slot = b.Mux_is.stop_slot
+
+let test_mux_is_workspace_reuse () =
+  (* A replication is a pure function of its substream, whichever
+     replications the domain's workspace served before: the same
+     config again (reused sources), then another config (rebuilt
+     workspace), then the first config again (rebuilt back). *)
+  let a = mux_is_small ~twist:0.4 () and b = mux_is_small ~twist:0.2 () in
+  let rng = Rng.create ~seed:96 in
+  let s0 = Rng.split rng in
+  let first = Mux_is.replicate a (Rng.copy s0) in
+  if not first.Mux_is.hit then Alcotest.fail "first replication missed: vacuous";
+  ignore (Mux_is.replicate a (Rng.split rng) : Mux_is.replication);
+  if not (same_replication first (Mux_is.replicate a (Rng.copy s0))) then
+    Alcotest.fail "reused workspace changed the replication";
+  ignore (Mux_is.replicate b (Rng.split rng) : Mux_is.replication);
+  if not (same_replication first (Mux_is.replicate a (Rng.copy s0))) then
+    Alcotest.fail "rebuilt workspace changed the replication"
+
+let test_mux_is_workspace_allocation () =
+  (* Warm replications reuse the domain's twisted sources, likelihood
+     streams and log-ratio arrays: only per-run engine scratch is
+     allocated, and it stays on the minor heap. Fresh sources would
+     put every source's 2 x order-float ring on the major heap, at
+     least sources x 2 x order words per replication; bound major
+     words at a quarter of that. *)
+  let cfg = mux_is_wide () in
+  let rng = Rng.create ~seed:98 in
+  for _ = 1 to 3 do
+    ignore (Mux_is.replicate cfg (Rng.split rng) : Mux_is.replication)
+  done;
+  let reps = 20 in
+  let subs = Array.init reps (fun _ -> Rng.split rng) in
+  (* A minor collection on each side: the runtime books major-heap
+     allocations in its counters only at collections, so without the
+     first one the window would be billed for the config's table. *)
+  let major_words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let w0 = major_words () in
+  Array.iter (fun sub -> ignore (Mux_is.replicate cfg sub : Mux_is.replication)) subs;
+  let per = (major_words () -. w0) /. float_of_int reps in
+  let bound = float_of_int (cfg.Mux_is.sources * cfg.Mux_is.order / 2) in
+  if per >= bound then
+    Alcotest.failf "%.0f major words per replication (bound %.0f)" per bound
+
 let test_mux_is_mean_stop_slot () =
   (* Twisting toward overflow shortens first passage on average. *)
   let reps = 200 in
@@ -2113,6 +2261,14 @@ let test_admission_invalid () =
       ignore (Admission.create ~service:0.0 ~buffer:1.0 ~epsilon:0.5));
   raises_invalid "bad eb epsilon" (fun () ->
       ignore (Admission.effective_bandwidth ~buffer:1.0 ~epsilon:0.0 (descr 1.0)))
+
+let test_admission_nan_epsilon () =
+  (* NaN passes both bound tests: unrefused, it rejected every source
+     ("exceeds epsilon = nan") and the run simulated nothing. *)
+  raises_invalid ~prefix:"Admission.create: epsilon is NaN" "create" (fun () ->
+      ignore (Admission.create ~service:1.0 ~buffer:1.0 ~epsilon:Float.nan));
+  raises_invalid ~prefix:"Admission.effective_bandwidth: epsilon is NaN" "effective bandwidth"
+    (fun () -> ignore (Admission.effective_bandwidth ~buffer:1.0 ~epsilon:Float.nan (descr 1.0)))
 
 let test_admission_rejects_malformed_descriptors () =
   (* Malformed descriptors are typed rejections, not Invalid_argument
@@ -2487,6 +2643,7 @@ let () =
           tc "moment fixtures" test_source_moment_fixtures;
           tc "table_for error prefix" test_source_table_for_error_prefix;
           tc "twisted zero shift = plain" test_source_twisted_zero_shift_identity;
+          tc "twisted fixture" test_source_twisted_fixture;
           tc "of_mpeg priority classes" test_source_of_mpeg_classes;
           tc "block = scalar bit-identical" test_source_block_scalar_bit_identity;
           tc "mpeg block = scalar" test_source_mpeg_block_scalar_bit_identity;
@@ -2530,7 +2687,7 @@ let () =
           tc "sharded bit-identity over pool" test_mux_sharded_pool_bit_identity;
           tc "sharded + police + faults identical" test_mux_sharded_police_fault_identity;
           tc "sharded trajectory identical" test_mux_sharded_trajectory_identity;
-          tc "probe dispatch / refusal" test_mux_sharded_probe_dispatch;
+          tc "stop dispatch / refusal" test_mux_sharded_stop_dispatch;
         ] );
       ( "mux-is",
         [
@@ -2541,6 +2698,8 @@ let () =
           tc "fixture: 16 sources, order 256" test_mux_is_fixture_wide;
           tc "cold moments under a pool" test_mux_is_cold_moments_under_pool;
           tc "twist shortens first passage" test_mux_is_mean_stop_slot;
+          tc "workspace reuse is bitwise" test_mux_is_workspace_reuse;
+          tc "workspace allocation bound" test_mux_is_workspace_allocation;
           tc "invalid" test_mux_is_invalid;
         ] );
       ( "admission",
@@ -2550,6 +2709,7 @@ let () =
           tc "monotone in load" test_admission_overflow_monotone_in_load;
           tc "controller gates" test_admission_controller_gates;
           tc "invalid" test_admission_invalid;
+          tc "NaN epsilon refused by name" test_admission_nan_epsilon;
           tc "rejects malformed descriptors" test_admission_rejects_malformed_descriptors;
           tc "renegotiate/evict" test_admission_renegotiate_and_evict;
         ] );
