@@ -57,6 +57,39 @@ let float_where ~expected ok =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* An int flag that refuses values below 1 at parse time. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v <= 0 -> Error (`Msg (Printf.sprintf "%S is not an integer > 0" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* A comma-separated list flag, refused at parse time by entry. The
+   value keeps the text as given (the checkpoint fingerprint quotes it)
+   beside the parsed entries, which [check] then sees as a whole. *)
+let list_arg ~entry ~expected ~check ~default names ~docv ~doc =
+  let parse s =
+    let rec go acc = function
+      | [] -> (
+        let l = List.rev acc in
+        match check l with
+        | Ok () -> Ok (s, l)
+        | Error m -> Error (`Msg (Printf.sprintf "%S %s" s m)))
+      | x :: rest -> (
+        match entry x with
+        | Some v -> go (v :: acc) rest
+        | None -> Error (`Msg (Printf.sprintf "entry %S of %S is not %s" x s expected)))
+    in
+    String.split_on_char ',' s |> List.map String.trim
+    |> List.filter (fun x -> x <> "")
+    |> go []
+  in
+  let print ppf (s, _) = Format.pp_print_string ppf s in
+  let default = match parse default with Ok v -> v | Error _ -> assert false in
+  Arg.(value & opt (conv (parse, print)) default & info names ~docv ~doc)
+
 (* [--twist]: a finite background mean shift m*, or one of the search
    [keywords] (name, value). Anything else is refused at parse time: a
    NaN twist turns every slot's work into NaN, which the engine zeroes
@@ -855,57 +888,65 @@ let abr_cmd =
   in
   let clients_arg =
     let doc = "Streaming clients in the fleet." in
-    Arg.(value & opt int 64 & info [ "clients" ] ~docv:"INT" ~doc)
+    Arg.(value & opt positive_int 64 & info [ "clients" ] ~docv:"INT" ~doc)
   in
   let chunks_arg =
     let doc = "Chunks each client streams." in
-    Arg.(value & opt int 120 & info [ "chunks" ] ~docv:"INT" ~doc)
+    Arg.(value & opt positive_int 120 & info [ "chunks" ] ~docv:"INT" ~doc)
   in
   let chunk_frames_arg =
     let doc = "Frames per chunk (chunk duration = frames / fps)." in
-    Arg.(value & opt int 30 & info [ "chunk-frames" ] ~docv:"INT" ~doc)
+    Arg.(value & opt positive_int 30 & info [ "chunk-frames" ] ~docv:"INT" ~doc)
   in
   let max_buffer_arg =
-    let doc = "Client playback buffer cap in seconds." in
-    Arg.(value & opt float 25.0 & info [ "max-buffer" ] ~docv:"SECONDS" ~doc)
+    let doc = "Client playback buffer cap in seconds ($(b,inf): no cap)." in
+    let cap = float_where ~expected:"a number > 0" (fun b -> b > 0.0) in
+    Arg.(value & opt cap 25.0 & info [ "max-buffer" ] ~docv:"SECONDS" ~doc)
   in
   let policies_arg =
     let doc = "Comma-separated adaptation policies: bba, rate, fixed:N." in
-    Arg.(value & opt string "bba,rate" & info [ "policies"; "policy" ] ~docv:"LIST" ~doc)
+    let entry = function
+      | "bba" -> Some (Ss_abr.Policy.bba ())
+      | "rate" -> Some (Ss_abr.Policy.rate ())
+      | x -> (
+        match String.split_on_char ':' x with
+        | [ "fixed"; n ] -> (
+          match int_of_string_opt n with
+          | Some n when n >= 0 -> Some (Ss_abr.Policy.fixed n)
+          | _ -> None)
+        | _ -> None)
+    in
+    let check l = if l = [] then Error "names no policy" else Ok () in
+    list_arg ~entry ~expected:"bba, rate or fixed:N with N >= 0" ~check ~default:"bba,rate"
+      [ "policies"; "policy" ] ~docv:"LIST" ~doc
   in
   let levels_arg =
-    let doc = "Comma-separated bitrate-ladder level factors (strictly ascending)." in
-    Arg.(value & opt string "0.3,0.55,1.0,1.8,3.0" & info [ "levels" ] ~docv:"LIST" ~doc)
-  in
-  let parse_policies s =
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-    |> List.map (fun name ->
-           match name with
-           | "bba" -> Ss_abr.Policy.bba ()
-           | "rate" -> Ss_abr.Policy.rate ()
-           | _ -> (
-             match String.index_opt name ':' with
-             | Some i when String.sub name 0 i = "fixed" ->
-               Ss_abr.Policy.fixed
-                 (int_of_string (String.sub name (i + 1) (String.length name - i - 1)))
-             | _ -> invalid_arg (Printf.sprintf "bad policy %S (expected bba, rate or fixed:N)" name)))
-  in
-  let parse_levels s =
-    String.split_on_char ',' s
-    |> List.map (fun x ->
-           match float_of_string_opt (String.trim x) with
-           | Some l -> l
-           | None -> invalid_arg (Printf.sprintf "bad ladder level %S" x))
+    let doc =
+      "Comma-separated bitrate-ladder level factors: at least two, each finite and > 0, \
+       strictly ascending."
+    in
+    let entry x =
+      match float_of_string_opt x with
+      | Some l when Float.is_finite l && l > 0.0 -> Some l
+      | _ -> None
+    in
+    let rec ascending = function
+      | a :: (b :: _ as rest) ->
+        if b > a then ascending rest else Error "is not strictly ascending"
+      | _ -> Ok ()
+    in
+    let check = function
+      | [] | [ _ ] -> Error "names fewer than two levels"
+      | l -> ascending l
+    in
+    list_arg ~entry ~expected:"a finite number > 0" ~check ~default:"0.3,0.55,1.0,1.8,3.0"
+      [ "levels" ] ~docv:"LIST" ~doc
   in
   let run path utilization sources slots order synthesis seed max_lag domains clients chunks
       chunk_frames max_buffer policies levels faults ck =
     wrap (fun () ->
         if sources <= 0 then invalid_arg "sources must be positive";
-        let policies_s = policies in
-        let policies = parse_policies policies in
-        if policies = [] then invalid_arg "no policies given";
+        let policies_s, policies = policies and levels_s, levels = levels in
         Pool.with_pool ~domains @@ fun pool ->
         let syn = synthesis () in
         let trace = Trace.load path in
@@ -923,7 +964,7 @@ let abr_cmd =
             utilization sources slots order (backend_name syn.backend) (kernel_name syn.kernel)
             clients chunks
             chunk_frames
-            max_buffer policies_s levels
+            max_buffer policies_s levels_s
             (match faults with None -> "-" | Some s -> s)
             seed max_lag
         in
@@ -959,7 +1000,7 @@ let abr_cmd =
         let cal = Scene.generate base (Rng.create ~seed:(seed + 1)) in
         let scale = model.Model.mean /. D.mean cal.Trace.sizes in
         let cfgs =
-          Scene.ladder ~levels:(parse_levels levels)
+          Scene.ladder ~levels
             { base with mean_i_bytes = base.Scene.mean_i_bytes *. scale }
         in
         let rungs = List.map (fun c -> Scene.generate c (Rng.create ~seed:(seed + 1))) cfgs in

@@ -33,35 +33,78 @@ type result = {
   qoe_switch : float;
 }
 
+let finite_nonneg x = Float.is_finite x && x >= 0.0
+
+(* [max_buffer_s = infinity] is accepted: it means no cap. An infinite
+   RTT or penalty is not: it makes the result NaN, through an infinite
+   position or [inf *. 0.0] in a QoE term. *)
 let validate (cfg : config) =
   if cfg.chunks <= 0 then invalid_arg "Client: chunks <= 0";
   if not (cfg.max_buffer_s > 0.0) then invalid_arg "Client: max_buffer_s <= 0";
-  if not (cfg.rtt_s >= 0.0) then invalid_arg "Client: rtt_s < 0";
+  if not (finite_nonneg cfg.rtt_s) then invalid_arg "Client: rtt_s not finite and >= 0";
   if cfg.throughput_window <= 0 then invalid_arg "Client: throughput_window <= 0";
-  if not (cfg.rebuffer_penalty >= 0.0) then invalid_arg "Client: rebuffer_penalty < 0";
-  if not (cfg.switch_penalty >= 0.0) then invalid_arg "Client: switch_penalty < 0"
+  if not (finite_nonneg cfg.rebuffer_penalty) then
+    invalid_arg "Client: rebuffer_penalty not finite and >= 0";
+  if not (finite_nonneg cfg.switch_penalty) then
+    invalid_arg "Client: switch_penalty not finite and >= 0"
+
+type link = { bandwidth : float array; delays : float array option; slot_s : float }
+
+let link ~bandwidth ?delays ~slot_s () =
+  if not (Float.is_finite slot_s && slot_s > 0.0) then
+    invalid_arg "Client.link: slot_s not finite and > 0";
+  let len = Array.length bandwidth in
+  if len = 0 then invalid_arg "Client.link: empty bandwidth trace";
+  (match delays with
+  | Some d ->
+    if Array.length d <> len then invalid_arg "Client.link: delays length mismatch";
+    (* A loop, not [Array.iteri]: a closure would box every cell. *)
+    for t = 0 to len - 1 do
+      if not (finite_nonneg d.(t)) then
+        invalid_arg
+          (Printf.sprintf "Client.link: delay %g at slot %d not finite and >= 0" d.(t) t)
+    done
+  | None -> ());
+  (* Left to right, as [Array.fold_left ( +. )] would, but unboxed. *)
+  let total_bw = ref 0.0 in
+  for i = 0 to len - 1 do
+    total_bw := !total_bw +. Array.unsafe_get bandwidth i
+  done;
+  if not (!total_bw > 0.0) then
+    invalid_arg "Client.link: bandwidth trace sums to zero";
+  { bandwidth; delays; slot_s }
 
 (* Walk the bandwidth trace from continuous position [pos] (in slot
    units) until [bytes] have been transferred, wrapping at the end of
    the trace. Returns the new position; elapsed slots = new - old.
    Mirrors the cooked-trace walk of the Pensieve/oboe simulators, with
-   fractional slot-boundary handling. *)
+   fractional slot-boundary handling.
+
+   Only the first slot can be entered mid-slot. Every later step starts
+   on a whole slot [base], so its slot is the previous one + 1 (wrapping
+   at [len]) and the fraction of it left is exactly 1.0: the cap is the
+   cell itself, as [floor] and [mod] per slot would compute it. This is
+   exact for positions below 2^53 slots, where every integer is a
+   float. *)
 let download bandwidth ~pos ~bytes =
   let len = Array.length bandwidth in
+  let base = ref (Float.floor pos) in
+  let slot = ref (int_of_float !base mod len) in
+  let cap = ref (bandwidth.(!slot) *. (1.0 -. (pos -. !base))) in
   let pos = ref pos and left = ref bytes in
-  (* Guarded by the caller: total trace bandwidth is positive, so each
+  (* Guarded by {!link}: total trace bandwidth is positive, so each
      full lap makes progress and this loop terminates. *)
   while !left > 0.0 do
-    let slot = int_of_float (Float.floor !pos) mod len in
-    let frac_left = 1.0 -. (!pos -. Float.floor !pos) in
-    let cap = bandwidth.(slot) *. frac_left in
-    if cap >= !left && cap > 0.0 then begin
-      pos := !pos +. (!left /. bandwidth.(slot));
+    if !cap >= !left && !cap > 0.0 then begin
+      pos := !pos +. (!left /. bandwidth.(!slot));
       left := 0.0
     end
     else begin
-      left := !left -. cap;
-      pos := Float.floor !pos +. 1.0
+      left := !left -. !cap;
+      base := !base +. 1.0;
+      pos := !base;
+      slot := if !slot = len - 1 then 0 else !slot + 1;
+      cap := bandwidth.(!slot)
     end
   done;
   !pos
@@ -144,27 +187,16 @@ let restore_state st r =
   Ck.R.float_array_into r st.tput_ring;
   st.tput_n <- Ck.R.int r;
   if st.next_chunk < 0 then raise (Ck.Corrupt "abr-client: negative next_chunk");
+  if not (finite_nonneg st.pos) then
+    raise (Ck.Corrupt "abr-client: position not finite and >= 0");
   if st.tput_n < 0 || st.tput_n > Array.length st.tput_ring then
     raise (Ck.Corrupt "abr-client: throughput count outside the window")
 
-let run ?(config = default) ~policy ~ladder ~bandwidth ?delays ~slot_s ~start
-    ?state ?stop_after () =
+let run ?(config = default) ~policy ~ladder ~link ~start ?state ?stop_after () =
   validate config;
-  if not (slot_s > 0.0) then invalid_arg "Client.run: slot_s <= 0";
+  let { bandwidth; delays; slot_s } = link in
   let len = Array.length bandwidth in
-  if len = 0 then invalid_arg "Client.run: empty bandwidth trace";
-  (match delays with
-  | Some d when Array.length d <> len ->
-    invalid_arg "Client.run: delays length mismatch"
-  | _ -> ());
   if start < 0 || start >= len then invalid_arg "Client.run: start out of range";
-  (* Left to right, as [Array.fold_left ( +. )] would, but unboxed. *)
-  let total_bw = ref 0.0 in
-  for i = 0 to len - 1 do
-    total_bw := !total_bw +. Array.unsafe_get bandwidth i
-  done;
-  if not (!total_bw > 0.0) then
-    invalid_arg "Client.run: bandwidth trace sums to zero";
   let nlev = Array.length ladder.Ladder.rates in
   let chunk_s = ladder.Ladder.chunk_s in
   let st =

@@ -13,7 +13,8 @@
 
 type config = {
   chunks : int;  (** chunks to stream (client loops past ladder end) *)
-  max_buffer_s : float;  (** buffer cap; the client idles when full *)
+  max_buffer_s : float;
+      (** buffer cap; the client idles when full ([infinity]: no cap) *)
   rtt_s : float;  (** fixed per-request latency, seconds *)
   throughput_window : int;  (** chunks in the harmonic-mean estimate *)
   rebuffer_penalty : float;  (** QoE Mbps-equivalent per stall second *)
@@ -40,6 +41,23 @@ type result = {
   qoe_switch : float;
 }
 
+type link
+(** One validated bandwidth/delay row, shared by every client that
+    streams over it: {!Fleet.run} builds one per trajectory source, so
+    each row is checked once per fleet rather than once per client.
+    A link does not copy its arrays. They must not be written while a
+    link built over them is in use. *)
+
+val link : bandwidth:float array -> ?delays:float array -> slot_s:float -> unit -> link
+(** [bandwidth.(t)] is bytes deliverable in slot [t] (the row wraps),
+    [delays.(t)] an optional per-slot request queueing delay in slots
+    and [slot_s] the slot duration in seconds. Runs every check that
+    is linear in the row length, once.
+    @raise Invalid_argument on an empty row; a row whose left-to-right
+    sum is not > 0 (zero, negative or NaN); a [delays] length mismatch;
+    a delay that is NaN, infinite or negative; or a [slot_s] that is
+    not finite and > 0. *)
+
 type state
 (** All mutable playback state of one client (trace position, buffer,
     accumulators, throughput window) — a snapshot point between
@@ -47,32 +65,31 @@ type state
 
 val make_state : ?config:config -> start:int -> unit -> state
 (** Fresh state for a client joining at slot [start].
-    @raise Invalid_argument on an invalid config. *)
+    @raise Invalid_argument on an invalid config: [chunks] or
+    [throughput_window] <= 0, [max_buffer_s] not > 0, or an [rtt_s],
+    [rebuffer_penalty] or [switch_penalty] that is not finite and
+    >= 0. *)
 
 val save_state : state -> Ss_checkpoint.W.t -> unit
 val restore_state : state -> Ss_checkpoint.R.t -> unit
 (** Checkpoint codec for a mid-stream client. {!restore_state}
     overwrites a state built with the same config in place; resuming
     {!run} with it continues bitwise where the snapshot stopped.
-    @raise Ss_checkpoint.Corrupt on structure mismatch. *)
+    @raise Ss_checkpoint.Corrupt on structure mismatch, a negative
+    chunk count, or a position that is not finite and >= 0. *)
 
 val run :
   ?config:config ->
   policy:Policy.t ->
   ladder:Ladder.t ->
-  bandwidth:float array ->
-  ?delays:float array ->
-  slot_s:float ->
+  link:link ->
   start:int ->
   ?state:state ->
   ?stop_after:int ->
   unit ->
   result
-(** Stream [config.chunks] chunks. [bandwidth.(t)] is bytes
-    deliverable in slot [t] (wrapping), [delays.(t)] an optional
-    per-slot request queueing delay in slots, [slot_s] the slot
-    duration in seconds and [start] the slot the client joins at.
-    Deterministic: equal inputs give bit-identical results.
+(** Stream [config.chunks] chunks over [link], joining at slot
+    [start]. Deterministic: equal inputs give bit-identical results.
 
     With [state], playback continues from the supplied (possibly
     restored) snapshot and [start] is ignored — the position lives in
@@ -82,10 +99,9 @@ val run :
     streamed. Running to completion in one call or across any split
     of [stop_after] points yields bit-identical results (enforced by
     test).
-    @raise Invalid_argument on an invalid config, empty or all-zero
-    bandwidth, a [delays] length mismatch, [start] out of range, a
-    state whose throughput window disagrees with [config], or
-    [stop_after] outside [next chunk, chunks]. *)
+    @raise Invalid_argument on an invalid config (see {!make_state}),
+    [start] outside the row, a state whose throughput window disagrees
+    with [config], or [stop_after] outside [next chunk, chunks]. *)
 
 val save_result : result -> Ss_checkpoint.W.t -> unit
 val read_result : Ss_checkpoint.R.t -> result

@@ -104,13 +104,20 @@ let run ?pool ~rng ~clients ~policy ~ladder ~trajectory ?(config = Client.defaul
   let nsrc = trajectory.Trajectory.sources in
   if trajectory.Trajectory.filled < trajectory.Trajectory.slots then
     invalid_arg "Fleet.run: trajectory not fully filled";
+  (* Each row is checked once here, on the caller, and every client of
+     that source (on any domain) shares its link: a bad row is refused
+     before any client runs or a resume restores its prefix. *)
+  let links =
+    Array.init nsrc (fun i ->
+        try
+          Client.link ~bandwidth:(Trajectory.bandwidth trajectory i)
+            ~delays:(Trajectory.delay trajectory i) ~slot_s:trajectory.Trajectory.slot_s ()
+        with Invalid_argument msg ->
+          invalid_arg (Printf.sprintf "Fleet.run: source %d: %s" i msg))
+  in
   let run_client sub j =
-    let src = j mod nsrc in
-    let bandwidth = Trajectory.bandwidth trajectory src in
-    let delays = Trajectory.delay trajectory src in
-    let start = Rng.int_range sub 0 (Array.length bandwidth - 1) in
-    Client.run ~config ~policy ~ladder ~bandwidth ~delays
-      ~slot_s:trajectory.Trajectory.slot_s ~start ()
+    let start = Rng.int_range sub 0 (trajectory.Trajectory.slots - 1) in
+    Client.run ~config ~policy ~ladder ~link:links.(j mod nsrc) ~start ()
   in
   let results =
     match (checkpoint, resume) with

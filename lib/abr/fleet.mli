@@ -5,7 +5,9 @@
     and joins at a random slot drawn from its own
     {!Ss_stats.Rng.split} substream via {!Ss_parallel.Fanout.map} —
     so a fleet run is bit-identical sequentially and at any domain
-    count, and thousands of clients amortize one mux run. *)
+    count, and thousands of clients amortize one mux run. Each
+    source's row is validated once, into one {!Client.link} that all
+    of that source's clients share. *)
 
 type summary = {
   mean : float;
@@ -58,7 +60,10 @@ val run :
   unit ->
   report * Client.result array
 (** Run [clients] independent clients against the trajectory and
-    summarize. Advances [rng] by [clients] splits on the caller.
+    summarize. Advances [rng] by [clients] splits on the caller. The
+    per-source links are built on the caller before any client runs
+    (and before [resume] is read), and the trajectory must not be
+    written until [run] returns.
 
     With [checkpoint] or [resume], the fleet runs on a sequential
     lane over the same {!Ss_stats.Rng.split_n} substreams the pooled
@@ -68,7 +73,8 @@ val run :
     skips the restored finished clients, and returns a report bitwise
     equal to the uninterrupted one's (enforced by test).
     @raise Invalid_argument if [clients <= 0], the trajectory is not
-    fully filled, or a checkpoint interval is < 1.
+    fully filled, a checkpoint interval is < 1, or a source's row is
+    refused by {!Client.link} (the message names the source).
     @raise Ss_checkpoint.Corrupt when [resume] disagrees with the
     reconstructed fleet (policy, client count) or is malformed. *)
 

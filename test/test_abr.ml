@@ -189,6 +189,10 @@ let flat_capture ?(slots = 4000) ?(slot_s = 0.1) bw =
   done;
   c
 
+(* Source 0's row of a capture, as one client link. *)
+let capture_link cap =
+  Client.link ~bandwidth:(Trajectory.bandwidth cap 0) ~slot_s:cap.Trajectory.slot_s ()
+
 let small_ladder () =
   Ladder.of_trace ~levels:[ 0.5; 1.0; 2.0 ] ~chunk_frames:30 (flat_trace ())
 
@@ -201,7 +205,7 @@ let test_client_constant_bandwidth_no_stall () =
   let config = { Client.default with chunks = 40; rtt_s = 0.05 } in
   let r =
     Client.run ~config ~policy:(Policy.fixed 0) ~ladder
-      ~bandwidth:(Trajectory.bandwidth cap 0) ~slot_s:cap.Trajectory.slot_s
+      ~link:(capture_link cap)
       ~start:0 ()
   in
   close "startup = rtt + transfer" (0.05 +. 0.15) r.Client.startup_s;
@@ -223,7 +227,7 @@ let test_client_slow_link_stalls () =
   let config = { Client.default with chunks = 20; rtt_s = 0.0 } in
   let r =
     Client.run ~config ~policy:(Policy.fixed 1) ~ladder
-      ~bandwidth:(Trajectory.bandwidth cap 0) ~slot_s:cap.Trajectory.slot_s
+      ~link:(capture_link cap)
       ~start:0 ()
   in
   close "startup" 1.5 r.Client.startup_s;
@@ -246,7 +250,7 @@ let test_client_qoe_decomposition () =
     Client.run
       ~config:{ Client.default with chunks = 60 }
       ~policy:(Policy.rate ()) ~ladder
-      ~bandwidth:(Trajectory.bandwidth cap 0) ~slot_s:cap.Trajectory.slot_s
+      ~link:(capture_link cap)
       ~start:7 ()
   in
   close "qoe decomposition" ~eps:1e-9
@@ -266,7 +270,8 @@ let test_client_delay_adds_latency () =
   let config = { Client.default with chunks = 10; rtt_s = 0.05 } in
   let run delays =
     Client.run ~config ~policy:(Policy.fixed 0) ~ladder
-      ~bandwidth:(Trajectory.bandwidth cap 0) ?delays ~slot_s:0.1 ~start:0 ()
+      ~link:(Client.link ~bandwidth:(Trajectory.bandwidth cap 0) ?delays ~slot_s:0.1 ())
+      ~start:0 ()
   in
   let plain = run None in
   let delayed = run (Some (Trajectory.delay cap 0)) in
@@ -276,19 +281,21 @@ let test_client_delay_adds_latency () =
 let test_client_invalid () =
   let ladder = small_ladder () in
   let bw = Array.make 100 10_000.0 in
-  let run ?config ?delays ?(bandwidth = bw) ?(start = 0) ?(slot_s = 0.1) () =
-    Client.run ?config ~policy:(Policy.fixed 0) ~ladder ~bandwidth ?delays
-      ~slot_s ~start ()
+  let link ?delays ?(bandwidth = bw) ?(slot_s = 0.1) () =
+    Client.link ~bandwidth ?delays ~slot_s ()
   in
-  raises_invalid "empty trace" (fun () -> run ~bandwidth:[||] ());
+  let run ?config ?(start = 0) () =
+    Client.run ?config ~policy:(Policy.fixed 0) ~ladder ~link:(link ()) ~start ()
+  in
+  raises_invalid "empty trace" (fun () -> link ~bandwidth:[||] ());
   (* The row total is summed left to right: zero, negative and NaN
      totals are refused by name, and so is a total that cancels to
      zero only in that order (1e16 +. 1 rounds back to 1e16). *)
   List.iter
     (fun (name, bandwidth) ->
-      match run ~bandwidth () with
+      match link ~bandwidth () with
       | exception Invalid_argument msg ->
-        Alcotest.(check string) name "Client.run: bandwidth trace sums to zero" msg
+        Alcotest.(check string) name "Client.link: bandwidth trace sums to zero" msg
       | _ -> Alcotest.failf "%s: expected the zero-sum refusal" name)
     [
       ("zero-sum trace", Array.make 8 0.0);
@@ -299,12 +306,45 @@ let test_client_invalid () =
   raises_invalid "start out of range" (fun () -> run ~start:100 ());
   raises_invalid "negative start" (fun () -> run ~start:(-1) ());
   raises_invalid "delays mismatch" (fun () ->
-      run ~delays:(Array.make 99 0.0) ());
-  raises_invalid "bad slot_s" (fun () -> run ~slot_s:0.0 ());
+      link ~delays:(Array.make 99 0.0) ());
+  raises_invalid "bad slot_s" (fun () -> link ~slot_s:0.0 ());
   raises_invalid "zero chunks" (fun () ->
       run ~config:{ Client.default with chunks = 0 } ());
   raises_invalid "bad window" (fun () ->
-      run ~config:{ Client.default with throughput_window = 0 } ())
+      run ~config:{ Client.default with throughput_window = 0 } ());
+  (* A negative delay would walk the position below 0, into an
+     out-of-bounds read; a non-finite delay, RTT or slot duration, or
+     an infinite penalty times a zero term, would make the result NaN
+     or infinite. All are refused by name. *)
+  let delay_at_3 x = Array.init 100 (fun t -> if t = 3 then x else 0.5) in
+  List.iter
+    (fun (name, x) ->
+      match link ~delays:(delay_at_3 x) () with
+      | exception Invalid_argument msg ->
+        if not (String.starts_with ~prefix:"Client.link: delay" msg) then
+          Alcotest.failf "%s: unexpected message %S" name msg
+      | _ -> Alcotest.failf "%s: expected the delay refusal" name)
+    [
+      ("negative delay", -100.0);
+      ("nan delay", Float.nan);
+      ("infinite delay", Float.infinity);
+    ];
+  raises_invalid "infinite slot_s" (fun () -> link ~slot_s:Float.infinity ());
+  raises_invalid "nan slot_s" (fun () -> link ~slot_s:Float.nan ());
+  raises_invalid "infinite rtt" (fun () ->
+      run ~config:{ Client.default with rtt_s = Float.infinity } ());
+  raises_invalid "infinite rebuffer penalty" (fun () ->
+      run ~config:{ Client.default with rebuffer_penalty = Float.infinity } ());
+  raises_invalid "infinite switch penalty" (fun () ->
+      run ~config:{ Client.default with switch_penalty = Float.infinity } ());
+  raises_invalid "nan max_buffer_s" (fun () ->
+      run ~config:{ Client.default with max_buffer_s = Float.nan } ());
+  (* An infinite buffer cap means no cap, and stays accepted. *)
+  let uncapped =
+    run ~config:{ Client.default with chunks = 10; max_buffer_s = Float.infinity } ()
+  in
+  if not (Float.is_finite uncapped.Client.qoe) then
+    Alcotest.failf "uncapped buffer: qoe %g" uncapped.Client.qoe
 
 (* The bandwidth trace wraps: a client joining at the last slot must
    walk past the end and around without reading out of bounds or
@@ -331,7 +371,8 @@ let prop_client_wraps_past_trace_end =
       let r =
         Client.run
           ~config:{ Client.default with chunks = 25 }
-          ~policy ~ladder:(small_ladder ()) ~bandwidth ~delays ~slot_s:0.1
+          ~policy ~ladder:(small_ladder ())
+          ~link:(Client.link ~bandwidth ~delays ~slot_s:0.1 ())
           ~start ()
       in
       Float.is_finite r.Client.qoe
@@ -427,6 +468,101 @@ let test_fleet_report_consistency () =
   if report.Fleet.qoe.Fleet.min > report.Fleet.qoe.Fleet.q50 then
     Alcotest.fail "summary min above median"
 
+(* A 3-source capture that exercises every branch of the download
+   walk: delays are non-integer and the default RTT is 2.4 slots, so
+   positions are fractional; each row holds runs of zero-bandwidth
+   cells; and 40 one-second chunks span twice the 600-slot row, so
+   every client wraps. *)
+let fixture_capture () =
+  let slots = 600 and sources = 3 in
+  let c = Trajectory.create ~slots ~sources ~slot_s:(1.0 /. 30.0) in
+  for t = 0 to slots - 1 do
+    let served =
+      Array.init sources (fun i ->
+          if (t + (11 * i)) mod 97 < 5 then 0.0
+          else 1250.0 *. (1.0 +. (0.6 *. sin (float_of_int (t + (50 * i)) /. 31.0))))
+    in
+    let delays =
+      Array.init sources (fun i -> 0.113 +. (0.37 *. float_of_int (t * (i + 3) mod 7)))
+    in
+    Trajectory.sink c ~slot:t ~served ~delays
+  done;
+  c
+
+(* Bits captured from the row-per-client implementation this fixture
+   guards: per policy, (client, qoe, startup_s, rebuffer_s) for a few
+   clients, then the report's qoe and rebuffer_ratio means. Clients 17,
+   21 and 26 join within one chunk of the row's end; 10, 13 and 17
+   stall under [rate]. *)
+let fleet_fixture_expected =
+  [
+    ( "bba",
+      [
+        (0, 0x3fc645a1cac08317L, 0x3fe408138cfb4e38L, 0x0L);
+        (10, 0x3fc6a7ef9db22d13L, 0x3fdaad0f733e608bL, 0x0L);
+        (13, 0x3fc42ccde15d0d66L, 0x3fea3ebcfbb7ce3cL, 0x3fbfde94fadfebb0L);
+        (17, 0x3fc4ab2f49f7314eL, 0x3fe649dad09c52feL, 0x3fb6af511958d890L);
+        (21, 0x3fc6a7ef9db22d13L, 0x3fe4bb476f519ac3L, 0x0L);
+        (26, 0x3fc6a7ef9db22d13L, 0x3fe0470c47b62e5aL, 0x0L);
+      ],
+      0x3fc6684095a778f2L,
+      0x3f259dca888e8ba7L );
+    ( "rate",
+      [
+        (0, 0x3fbeb851eb851ebdL, 0x3fe408138cfb4e38L, 0x0L);
+        (10, 0x3fa928d6a96dc66aL, 0x3fdaad0f733e608bL, 0x3fe517e273d209b2L);
+        (13, 0x3fbb4b45bea18753L, 0x3fea3ebcfbb7ce3cL, 0x3fbfde94fadfebb0L);
+        (17, 0x3fbb836ce9f27b2dL, 0x3fe649dad09c52feL, 0x3fb6af511958d890L);
+        (21, 0x3fbdf3b645a1cac5L, 0x3fe4bb476f519ac3L, 0x0L);
+        (26, 0x3fbdf3b645a1cac6L, 0x3fe0470c47b62e5aL, 0x0L);
+      ],
+      0x3fbd26e1e1728bf2L,
+      0x3f535c872d0ecfe4L );
+  ]
+
+let test_fleet_fixture_bitwise () =
+  let cap = fixture_capture () in
+  let ladder = small_ladder () in
+  let config = { Client.default with chunks = 40 } in
+  let clients = 32 and seed = 25 in
+  (* Client j joins at a draw from the j-th split of [rng] (see
+     {!Fleet}); the fixture is only meaningful while some join within
+     one 30-slot chunk of the row's end, so their first download
+     wraps. *)
+  let starts =
+    Array.map
+      (fun sub -> Rng.int_range sub 0 (cap.Trajectory.slots - 1))
+      (Rng.split_n (Rng.create ~seed) clients)
+  in
+  List.iter
+    (fun j ->
+      if starts.(j) < cap.Trajectory.slots - 30 then
+        Alcotest.failf "client %d joins at %d, not within a chunk of the end" j starts.(j))
+    [ 17; 21; 26 ];
+  let check l expected actual =
+    if expected <> bits actual then
+      Alcotest.failf "%s: expected %Lx, got %Lx (%.17g)" l expected (bits actual) actual
+  in
+  List.iter2
+    (fun policy (name, per_client, qoe_mean, ratio_mean) ->
+      let report, results =
+        Fleet.run ~rng:(Rng.create ~seed) ~clients ~policy ~ladder ~trajectory:cap
+          ~config ()
+      in
+      Alcotest.(check string) "policy" name report.Fleet.policy;
+      List.iter
+        (fun (j, qoe, startup, rebuffer) ->
+          let r = results.(j) and l f = Printf.sprintf "%s client %d %s" name j f in
+          check (l "qoe") qoe r.Client.qoe;
+          check (l "startup_s") startup r.Client.startup_s;
+          check (l "rebuffer_s") rebuffer r.Client.rebuffer_s)
+        per_client;
+      check (name ^ " qoe mean") qoe_mean report.Fleet.qoe.Fleet.mean;
+      check (name ^ " rebuffer_ratio mean") ratio_mean
+        report.Fleet.rebuffer_ratio.Fleet.mean)
+    [ Policy.bba (); Policy.rate () ]
+    fleet_fixture_expected
+
 let test_fleet_invalid () =
   let cap = varied_capture 100 in
   let ladder = small_ladder () in
@@ -436,7 +572,41 @@ let test_fleet_invalid () =
   let unfilled = Trajectory.create ~slots:100 ~sources:1 ~slot_s:0.1 in
   raises_invalid "unfilled trajectory" (fun () ->
       Fleet.run ~rng:(Rng.create ~seed:1) ~clients:4 ~policy:(Policy.fixed 0)
-        ~ladder ~trajectory:unfilled ())
+        ~ladder ~trajectory:unfilled ());
+  (* A bad row among good ones is refused, naming its source, before
+     any client runs: sequentially, on a pool, and on the checkpoint
+     lane, whose snapshot after client 0 (a good row) must not fire. *)
+  let bad_row ~served ~delay =
+    let c = Trajectory.create ~slots:100 ~sources:3 ~slot_s:0.1 in
+    for t = 0 to 99 do
+      Trajectory.sink c ~slot:t ~served:[| 5000.0; served; 5000.0 |]
+        ~delays:[| 0.5; (if t = 40 then delay else 0.5); 0.5 |]
+    done;
+    c
+  in
+  let refused ~msg name f =
+    match f () with
+    | exception Invalid_argument m ->
+      Alcotest.(check string) name ("Fleet.run: source 1: " ^ msg) m
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  let run ?pool ?checkpoint trajectory () =
+    Fleet.run ?pool ~rng:(Rng.create ~seed:1) ~clients:6 ~policy:(Policy.fixed 0)
+      ~ladder ~trajectory ~config:{ Client.default with chunks = 5 } ?checkpoint ()
+  in
+  let zero_row = bad_row ~served:0.0 ~delay:0.5 in
+  let msg = "Client.link: bandwidth trace sums to zero" in
+  refused ~msg "all-zero row" (run zero_row);
+  let pool = Pool.create ~domains:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> refused ~msg "all-zero row, pooled" (run ~pool zero_row));
+  let saves = ref 0 in
+  let checkpoint = { Fleet.every = 1; save = (fun ~clients_done:_ _ -> incr saves) } in
+  refused ~msg "all-zero row, checkpointed" (run ~checkpoint zero_row);
+  Alcotest.(check int) "no client ran before the refusal" 0 !saves;
+  refused ~msg:"Client.link: delay nan at slot 40 not finite and >= 0" "nan delay"
+    (run (bad_row ~served:5000.0 ~delay:Float.nan))
 
 (* ------------------------------------------------------------------ *)
 
@@ -476,6 +646,7 @@ let () =
           tc "summarize quantiles" test_fleet_summarize_quantiles;
           tc "pool bit-identical" test_fleet_pool_bit_identical;
           tc "report consistency" test_fleet_report_consistency;
+          tc "parent-captured fixture bitwise" test_fleet_fixture_bitwise;
           tc "invalid" test_fleet_invalid;
         ] );
     ]

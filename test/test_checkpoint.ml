@@ -792,32 +792,55 @@ let check_result_eq msg (a : Client.result) (b : Client.result) =
 let test_client_split_resume () =
   let ladder, bandwidth, config = abr_fixture () in
   let policy = Policy.bba () in
-  let run_full () =
-    Client.run ~config ~policy ~ladder ~bandwidth ~slot_s:0.5 ~start:3 ()
-  in
+  let link = Client.link ~bandwidth ~slot_s:0.5 () in
+  let run_full () = Client.run ~config ~policy ~ladder ~link ~start:3 () in
   let full = run_full () in
   (* Stream 17 chunks, snapshot the client state, restore into a
      fresh state and finish: the result must be bitwise the
      uninterrupted one's. *)
   let st = Client.make_state ~config ~start:3 () in
   ignore
-    (Client.run ~config ~policy ~ladder ~bandwidth ~slot_s:0.5 ~start:3 ~state:st
-       ~stop_after:17 ()
+    (Client.run ~config ~policy ~ladder ~link ~start:3 ~state:st ~stop_after:17 ()
       : Client.result);
   let s = snap (Client.save_state st) in
   let st2 = Client.make_state ~config ~start:0 () in
   Client.restore_state st2 (reader s);
-  let resumed =
-    Client.run ~config ~policy ~ladder ~bandwidth ~slot_s:0.5 ~start:0 ~state:st2 ()
-  in
+  let resumed = Client.run ~config ~policy ~ladder ~link ~start:0 ~state:st2 () in
   check_result_eq "client resume" full resumed;
   (* Result codec round-trip. *)
   let back = Client.read_result (reader (snap (Client.save_result full))) in
   check_result_eq "result codec" full back;
   (* stop_after outside [next chunk, chunks] must refuse. *)
   raises_invalid "stop_after out of range" (fun () ->
-      Client.run ~config ~policy ~ladder ~bandwidth ~slot_s:0.5 ~start:0
-        ~stop_after:(config.Client.chunks + 1) ())
+      Client.run ~config ~policy ~ladder ~link ~start:0
+        ~stop_after:(config.Client.chunks + 1) ());
+  (* A restored position must be a finite slot offset >= 0: a negative
+     one would index the row out of bounds, a NaN one would make every
+     result NaN. The fresh state at slot 3 holds the only [3.0] in its
+     snapshot, at the position field. *)
+  let fresh = snap (Client.save_state (Client.make_state ~config ~start:3 ())) in
+  let three = snap (fun w -> W.float w 3.0) in
+  let at =
+    let rec find i =
+      if String.sub fresh i (String.length three) = three then i else find (i + 1)
+    in
+    find 0
+  in
+  List.iter
+    (fun (name, pos) ->
+      let bad =
+        String.sub fresh 0 at
+        ^ snap (fun w -> W.float w pos)
+        ^ String.sub fresh (at + String.length three)
+            (String.length fresh - at - String.length three)
+      in
+      raises_corrupt ~contains:"position" name (fun () ->
+          Client.restore_state (Client.make_state ~config ~start:0 ()) (reader bad)))
+    [
+      ("negative position", -1.0);
+      ("nan position", Float.nan);
+      ("infinite position", Float.infinity);
+    ]
 
 let summary_eq (a : Fleet.summary) (b : Fleet.summary) =
   float_eq a.Fleet.mean b.Fleet.mean
