@@ -119,10 +119,8 @@ let twist_arg ~keywords ~doc =
 
 let utilization_arg =
   let doc = "Link utilization in (0,1)." in
-  let positive =
-    float_where ~expected:"a finite number > 0" (fun u -> Float.is_finite u && u > 0.0)
-  in
-  Arg.(value & opt positive 0.6 & info [ "utilization"; "u" ] ~docv:"FLOAT" ~doc)
+  let below_one = float_where ~expected:"a number in (0, 1)" (fun u -> u > 0.0 && u < 1.0) in
+  Arg.(value & opt below_one 0.6 & info [ "utilization"; "u" ] ~docv:"FLOAT" ~doc)
 
 let replications_arg =
   let doc = "Independent replications per estimate." in

@@ -19,28 +19,62 @@ let () =
 
 (* --- CRC32 (IEEE 802.3, reflected) ------------------------------- *)
 
+(* Slicing-by-8 over native ints: [tables] holds eight 256-entry
+   tables back to back; table 0 is the bytewise table, and table k
+   advances an entry of table k-1 by one more zero byte. Eight bytes
+   are folded per step as two 32-bit little-endian halves, each masked
+   to 32 bits. *)
 module Crc32 = struct
-  let table =
+  let tables =
     lazy
-      (Array.init 256 (fun i ->
-           let c = ref (Int32.of_int i) in
-           for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
-           done;
-           !c))
+      (let t = Array.make (8 * 256) 0 in
+       for i = 0 to 255 do
+         let c = ref i in
+         for _ = 0 to 7 do
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+         done;
+         t.(i) <- !c
+       done;
+       for k = 1 to 7 do
+         for i = 0 to 255 do
+           let prev = t.(((k - 1) * 256) + i) in
+           t.((k * 256) + i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+         done
+       done;
+       t)
 
+  (* The checks keep every table index below 256: a CRC or a word
+     wider than 32 bits would index past the tables. *)
   let update crc s pos len =
-    let table = Lazy.force table in
-    let crc = ref (Int32.logxor crc 0xFFFFFFFFl) in
-    for i = pos to pos + len - 1 do
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code (String.unsafe_get s i)))) 0xFFl) in
-      crc := Int32.logxor (Array.unsafe_get table idx) (Int32.shift_right_logical !crc 8)
+    if crc < 0 || crc > 0xFFFF_FFFF then
+      invalid_arg "Ss_checkpoint.Crc32.update: CRC outside [0, 2^32)";
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg "Ss_checkpoint.Crc32.update: range outside the string";
+    let t = Lazy.force tables in
+    let tab k i = Array.unsafe_get t ((k lsl 8) lor i) in
+    let word i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF in
+    let crc = ref (crc lxor 0xFFFF_FFFF) in
+    let stop = pos + len in
+    let i = ref pos in
+    while !i + 8 <= stop do
+      let lo = !crc lxor word !i and hi = word (!i + 4) in
+      crc :=
+        tab 7 (lo land 0xFF)
+        lxor tab 6 ((lo lsr 8) land 0xFF)
+        lxor tab 5 ((lo lsr 16) land 0xFF)
+        lxor tab 4 (lo lsr 24)
+        lxor tab 3 (hi land 0xFF)
+        lxor tab 2 ((hi lsr 8) land 0xFF)
+        lxor tab 1 ((hi lsr 16) land 0xFF)
+        lxor tab 0 (hi lsr 24);
+      i := !i + 8
     done;
-    Int32.logxor !crc 0xFFFFFFFFl
+    for i = !i to stop - 1 do
+      crc := tab 0 ((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
+    done;
+    !crc lxor 0xFFFF_FFFF
 
-  let string s = update 0l s 0 (String.length s)
+  let string s = update 0 s 0 (String.length s)
 end
 
 (* --- writer ------------------------------------------------------- *)
@@ -176,12 +210,13 @@ end
 let magic = "SSCK"
 let format_version = 1
 
-(* Header layout: magic (4) | version (8) | kind | meta | payload
+(* Record layout: magic (4) | version (8) | kind | meta | payload
    length (8) | payload | crc32 (8, zero-extended) over everything
-   before the crc field. *)
-
-let encode ~kind ~meta payload =
-  let b = Buffer.create (String.length payload + 64) in
+   before the crc field. [frame] returns the parts before and after
+   the payload, the CRC continued from the header over the payload;
+   [encode] and [to_file] both frame with it. *)
+let frame ~kind ~meta payload =
+  let b = Buffer.create (44 + String.length kind + String.length meta) in
   Buffer.add_string b magic;
   Buffer.add_int64_le b (Int64.of_int format_version);
   Buffer.add_int64_le b (Int64.of_int (String.length kind));
@@ -189,10 +224,15 @@ let encode ~kind ~meta payload =
   Buffer.add_int64_le b (Int64.of_int (String.length meta));
   Buffer.add_string b meta;
   Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_string b payload;
-  let crc = Crc32.string (Buffer.contents b) in
-  Buffer.add_int64_le b (Int64.logand (Int64.of_int32 crc) 0xFFFFFFFFL);
-  Buffer.contents b
+  let head = Buffer.contents b in
+  let crc = Crc32.update (Crc32.string head) payload 0 (String.length payload) in
+  let tail = Bytes.create 8 in
+  Bytes.set_int64_le tail 0 (Int64.of_int crc);
+  (head, Bytes.unsafe_to_string tail)
+
+let encode ~kind ~meta payload =
+  let head, crc = frame ~kind ~meta payload in
+  String.concat "" [ head; payload; crc ]
 
 let decode ~kind s =
   let r = R.of_string s in
@@ -219,26 +259,29 @@ let decode ~kind s =
     corrupt "truncated checkpoint file (payload of %d bytes missing)" plen;
   let payload_pos = r.R.pos in
   r.R.pos <- payload_pos + plen;
-  let stored_crc = Int64.to_int32 (R.i64 r) in
+  let stored_crc = R.int r land 0xFFFF_FFFF in
   if r.R.pos <> String.length s then
     corrupt "trailing garbage after checkpoint record (%d extra bytes)"
       (String.length s - r.R.pos);
-  let computed = Crc32.update 0l s 0 (payload_pos + plen) in
-  if not (Int32.equal stored_crc computed) then
-    corrupt "checkpoint CRC mismatch (stored 0x%08lx, computed 0x%08lx): file is corrupted"
+  let computed = Crc32.update 0 s 0 (payload_pos + plen) in
+  if stored_crc <> computed then
+    corrupt "checkpoint CRC mismatch (stored 0x%08x, computed 0x%08x): file is corrupted"
       stored_crc computed;
   (meta, R.of_string (String.sub s payload_pos plen))
 
 let to_file ~path ~kind ~meta fill =
   let w = W.create () in
   fill w;
-  let record = encode ~kind ~meta (W.contents w) in
+  (* The one copy of the payload: the record's parts go straight to
+     the channel. *)
+  let payload = W.contents w in
+  let head, crc = frame ~kind ~meta payload in
   (* Atomic publish: write the whole record to a sibling temp file,
      fsync-free but rename-atomic on POSIX, so a crash mid-write can
      never leave a half-written file under the checkpoint name. *)
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  (try output_string oc record
+  (try List.iter (output_string oc) [ head; payload; crc ]
    with e ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());

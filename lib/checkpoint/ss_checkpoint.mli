@@ -10,6 +10,19 @@ exception Corrupt of string
 (** Raised on any malformed, truncated, corrupted, wrong-version or
     wrong-kind checkpoint data. The message names the failing check. *)
 
+(** CRC-32 with the IEEE 802.3 polynomial (reflected), the checksum
+    every record carries. Values are native ints in [\[0, 2^32)]. *)
+module Crc32 : sig
+  val update : int -> string -> int -> int -> int
+  (** [update crc s pos len] continues [crc] over the [len] bytes of
+      [s] from [pos]: [update (update 0 a 0 la) b 0 lb] is the CRC of
+      [a ^ b]. @raise Invalid_argument on a range outside [s] or a
+      [crc] outside [\[0, 2^32)]. *)
+
+  val string : string -> int
+  (** [string s] is [update 0 s 0 (String.length s)]. *)
+end
+
 (** Binary writer (little-endian, 8-byte ints, floats as IEEE bits). *)
 module W : sig
   type t

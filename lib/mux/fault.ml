@@ -82,12 +82,14 @@ let episodes rng ~rate ~mean_len =
   in
   (inside, remaining)
 
-(* A compiled event: the per-slot transform plus its checkpoint codec.
-   Scripted events (drift, stall) and misdeclaration are pure
-   functions of the slot index — nothing to save; the stochastic ones
-   carry their substream (and episode residual). *)
+(* A compiled event: a block transform plus its checkpoint codec.
+   [apply w ~slot off f] transforms [w.(off) .. w.(off + f - 1)], the
+   work of slots [slot .. slot + f - 1], in slot order. Scripted events
+   (drift, stall) and misdeclaration are pure functions of the slot
+   index — nothing to save; the stochastic ones carry their substream
+   (and episode residual). *)
 type compiled = {
-  apply : int -> float -> float;
+  apply : float array -> slot:int -> int -> int -> unit;
   ev_save : W.t -> unit;
   ev_restore : R.t -> unit;
 }
@@ -115,26 +117,44 @@ let compile rng event =
   validate event;
   match event with
   | Drift { start; ramp; factor } ->
-    stateless (fun t w ->
-        if t < start then w
-        else
-          let progress =
-            if ramp <= 0 then 1.0
-            else Stdlib.min 1.0 (float_of_int (t - start + 1) /. float_of_int ramp)
-          in
-          w *. (1.0 +. ((factor -. 1.0) *. progress)))
+    stateless (fun w ~slot off f ->
+        for j = off to off + f - 1 do
+          let t = slot + j - off in
+          if t >= start then begin
+            (* [Stdlib.min 1.0 p], without boxing its arguments. *)
+            let progress =
+              if ramp <= 0 then 1.0
+              else
+                let p = float_of_int (t - start + 1) /. float_of_int ramp in
+                if 1.0 <= p then 1.0 else p
+            in
+            w.(j) <- w.(j) *. (1.0 +. ((factor -. 1.0) *. progress))
+          end
+        done)
   | Burst { rate; mean_len; amplitude } ->
-    episodic rng ~rate ~mean_len (fun inside _t w -> if inside () then w *. amplitude else w)
-  | Stall { start; len } ->
-    stateless (fun t w -> if t >= start && t < start + len then 0.0 else w)
+    episodic rng ~rate ~mean_len (fun inside w ~slot:_ off f ->
+        for j = off to off + f - 1 do
+          if inside () then w.(j) <- w.(j) *. amplitude
+        done)
+  | Stall { start; len = stall } ->
+    stateless (fun w ~slot off f ->
+        for j = off to off + f - 1 do
+          let t = slot + j - off in
+          if t >= start && t < start + stall then w.(j) <- 0.0
+        done)
   | Dropout { rate; mean_len } ->
-    episodic rng ~rate ~mean_len (fun inside _t w -> if inside () then 0.0 else w)
+    episodic rng ~rate ~mean_len (fun inside w ~slot:_ off f ->
+        for j = off to off + f - 1 do
+          if inside () then w.(j) <- 0.0
+        done)
   | Corrupt { rate } ->
     {
       apply =
-        (fun _t w ->
-          if Rng.float rng < rate then (if Rng.bool rng then Float.nan else -1.0 -. w)
-          else w);
+        (fun w ~slot:_ off f ->
+          for j = off to off + f - 1 do
+            if Rng.float rng < rate then
+              w.(j) <- (if Rng.bool rng then Float.nan else -1.0 -. w.(j))
+          done);
       ev_save =
         (fun w ->
           W.tag w "ev-corrupt";
@@ -144,7 +164,7 @@ let compile rng event =
           R.tag r "ev-corrupt";
           Rng.restore rng r);
     }
-  | Misdeclare _ -> stateless (fun _t w -> w)
+  | Misdeclare _ -> stateless (fun _ ~slot:_ _ _ -> ())
 
 let misdeclared spec (src : Source.t) =
   List.fold_left
@@ -165,18 +185,20 @@ let wrap ?name ~rng spec (src : Source.t) =
     (* One substream per event, split in spec order on the caller, so
        each stochastic schedule is a fixed function of (seed, source
        index, event index) — the Fanout discipline. *)
-    let transforms = List.map (fun ev -> compile (Rng.split rng) ev) spec in
+    let transforms = Array.of_list (List.map (fun ev -> compile (Rng.split rng) ev) spec) in
     let t = ref 0 in
-    (* Pull a block from the wrapped source, then apply the event
-       transforms slot by slot in slot order, so the stochastic
-       schedules (episode processes, corruption draws) advance the same
-       at any block split; the scalar pull is this at one slot. *)
+    (* Pull a block from the wrapped source, then apply the events in
+       spec order, each over the whole block. This is the slot-by-slot
+       composition: each event's state advances on its own draws in
+       slot order, so the schedules are the same at any block split,
+       and a later event sees the value the earlier ones left at that
+       slot. The scalar pull is this at one slot. *)
     let pull_block wbuf cbuf off len =
       let f = src.Source.pull_block wbuf cbuf off len in
-      for j = off to off + f - 1 do
-        let slot = !t in
-        incr t;
-        wbuf.(j) <- List.fold_left (fun w ev -> ev.apply slot w) wbuf.(j) transforms
+      let slot = !t in
+      t := slot + f;
+      for e = 0 to Array.length transforms - 1 do
+        transforms.(e).apply wbuf ~slot off f
       done;
       f
     in
@@ -196,13 +218,13 @@ let wrap ?name ~rng spec (src : Source.t) =
                 Source.save src w;
                 W.tag w "fault-wrap";
                 W.int w !t;
-                List.iter (fun ev -> ev.ev_save w) transforms);
+                Array.iter (fun ev -> ev.ev_save w) transforms);
             ck_restore =
               (fun r ->
                 Source.restore src r;
                 R.tag r "fault-wrap";
                 t := R.int r;
-                List.iter (fun ev -> ev.ev_restore r) transforms);
+                Array.iter (fun ev -> ev.ev_restore r) transforms);
           }
     in
     Source.make ~pull_block ?ckpt ~name ~mean ~sigma2 ~hurst (Source.pull_of_block pull_block)

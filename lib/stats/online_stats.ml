@@ -1,23 +1,31 @@
+(* An all-float record, so OCaml stores it flat: [add] updates it in
+   place without boxing a float or crossing the write barrier. The
+   count is held as a float, exact below 2^53 observations; [count],
+   the checkpoint codec and the variances convert at the edges. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean : float;
   mutable m2 : float;  (* sum of squared deviations from the mean *)
   mutable min : float;
   mutable max : float;
 }
 
-let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+let create () = { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
-let add t x =
-  t.n <- t.n + 1;
+(* [n +. 1.0] is exact below 2^53, so [d /. n] divides by the exact
+   count. Inlined into [Vt.add], so its argument is not boxed there. *)
+let[@inline] add t x =
+  let n = t.n +. 1.0 in
+  t.n <- n;
   let d = x -. t.mean in
-  t.mean <- t.mean +. (d /. float_of_int t.n);
-  t.m2 <- t.m2 +. (d *. (x -. t.mean));
+  let mean = t.mean +. (d /. n) in
+  t.mean <- mean;
+  t.m2 <- t.m2 +. (d *. (x -. mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let count t = t.n
-let check_nonempty t name = if t.n = 0 then invalid_arg ("Online_stats." ^ name ^ ": empty")
+let count t = int_of_float t.n
+let check_nonempty t name = if t.n = 0.0 then invalid_arg ("Online_stats." ^ name ^ ": empty")
 
 let mean t =
   check_nonempty t "mean";
@@ -25,11 +33,11 @@ let mean t =
 
 let variance t =
   check_nonempty t "variance";
-  t.m2 /. float_of_int t.n
+  t.m2 /. t.n
 
 let sample_variance t =
-  if t.n < 2 then invalid_arg "Online_stats.sample_variance: fewer than two observations";
-  t.m2 /. float_of_int (t.n - 1)
+  if t.n < 2.0 then invalid_arg "Online_stats.sample_variance: fewer than two observations";
+  t.m2 /. (t.n -. 1.0)
 
 let std t = sqrt (variance t)
 
@@ -42,14 +50,14 @@ let max t =
   t.max
 
 let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
+  if a.n = 0.0 then { b with n = b.n }
+  else if b.n = 0.0 then { a with n = a.n }
   else begin
-    let na = float_of_int a.n and nb = float_of_int b.n in
+    let na = a.n and nb = b.n in
     let n = na +. nb in
     let d = b.mean -. a.mean in
     {
-      n = a.n + b.n;
+      n;
       mean = a.mean +. (d *. nb /. n);
       m2 = a.m2 +. b.m2 +. (d *. d *. na *. nb /. n);
       min = Stdlib.min a.min b.min;
@@ -60,9 +68,11 @@ let merge a b =
 module W = Ss_checkpoint.W
 module R = Ss_checkpoint.R
 
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Ss_checkpoint.Corrupt s)) fmt
+
 let save t w =
   W.tag w "welford";
-  W.int w t.n;
+  W.int w (count t);
   W.float w t.mean;
   W.float w t.m2;
   W.float w t.min;
@@ -70,7 +80,9 @@ let save t w =
 
 let restore t r =
   R.tag r "welford";
-  t.n <- R.int r;
+  let n = R.int r in
+  if n < 0 || n >= 1 lsl 53 then corrupt "welford: count %d outside [0, 2^53)" n;
+  t.n <- float_of_int n;
   t.mean <- R.float r;
   t.m2 <- R.float r;
   t.min <- R.float r;
@@ -82,43 +94,46 @@ module Vt = struct
      mean into a Welford accumulator. The slope of log10 var(level
      mean) on log10 m is 2H - 2 for an FGN-like input, so the H
      estimate is 1 + slope/2 — the online form of
-     Hurst.variance_time. *)
-  type level = { m : int; mutable sum : float; mutable filled : int; stats : t }
-
-  type nonrec t = { levels : level array }
+     Hurst.variance_time. Level j's open block is [sums.(j)] over
+     [filled.(j)] samples; parallel arrays keep the sums unboxed. *)
+  type nonrec t = { sums : float array; filled : int array; stats : t array }
 
   let create ?(levels = 7) () =
     if levels < 3 then invalid_arg "Online_stats.Vt.create: levels < 3";
     if levels > 30 then invalid_arg "Online_stats.Vt.create: levels > 30";
     {
-      levels =
-        Array.init levels (fun j -> { m = 1 lsl j; sum = 0.0; filled = 0; stats = create () });
+      sums = Array.make levels 0.0;
+      filled = Array.make levels 0;
+      stats = Array.init levels (fun _ -> create ());
     }
 
   let add t x =
-    Array.iter
-      (fun l ->
-        l.sum <- l.sum +. x;
-        l.filled <- l.filled + 1;
-        if l.filled = l.m then begin
-          add l.stats (l.sum /. float_of_int l.m);
-          l.sum <- 0.0;
-          l.filled <- 0
-        end)
-      t.levels
+    for j = 0 to Array.length t.sums - 1 do
+      let m = 1 lsl j in
+      let sum = t.sums.(j) +. x and filled = t.filled.(j) + 1 in
+      if filled = m then begin
+        add t.stats.(j) (sum /. float_of_int m);
+        t.sums.(j) <- 0.0;
+        t.filled.(j) <- 0
+      end
+      else begin
+        t.sums.(j) <- sum;
+        t.filled.(j) <- filled
+      end
+    done
 
-  let count t = t.levels.(0).stats.n
+  let count t = count t.stats.(0)
 
   let min_blocks = 4
 
   let points t =
-    Array.to_list t.levels
-    |> List.filter_map (fun l ->
-           if l.stats.n < min_blocks then None
-           else
-             let v = variance l.stats in
-             if v <= 0.0 then None
-             else Some (log10 (float_of_int l.m), log10 v))
+    List.init (Array.length t.stats) (fun j ->
+        let l = t.stats.(j) in
+        if l.n < float_of_int min_blocks then None
+        else
+          let v = variance l in
+          if v <= 0.0 then None else Some (log10 (float_of_int (1 lsl j)), log10 v))
+    |> List.filter_map Fun.id
 
   let estimate t =
     match points t with
@@ -132,34 +147,32 @@ module Vt = struct
      still in scope on the right-hand side. *)
   let save t w =
     W.tag w "vt";
-    W.int w (Array.length t.levels);
-    Array.iter
-      (fun l ->
-        W.int w l.m;
-        W.float w l.sum;
-        W.int w l.filled;
-        save l.stats w)
-      t.levels
+    W.int w (Array.length t.sums);
+    Array.iteri
+      (fun j l ->
+        W.int w (1 lsl j);
+        W.float w t.sums.(j);
+        W.int w t.filled.(j);
+        save l w)
+      t.stats
 
   let restore t r =
     R.tag r "vt";
     let n = R.int r in
-    if n <> Array.length t.levels then
-      raise
-        (Ss_checkpoint.Corrupt
-           (Printf.sprintf "vt: checkpoint has %d levels, estimator has %d" n
-              (Array.length t.levels)));
-    Array.iter
-      (fun l ->
+    if n <> Array.length t.sums then
+      corrupt "vt: checkpoint has %d levels, estimator has %d" n (Array.length t.sums);
+    Array.iteri
+      (fun j l ->
         let m = R.int r in
-        if m <> l.m then
-          raise
-            (Ss_checkpoint.Corrupt
-               (Printf.sprintf "vt: level block size %d in checkpoint, expected %d" m l.m));
-        l.sum <- R.float r;
-        l.filled <- R.int r;
-        restore l.stats r)
-      t.levels
+        if m <> 1 lsl j then
+          corrupt "vt: level block size %d in checkpoint, expected %d" m (1 lsl j);
+        t.sums.(j) <- R.float r;
+        let filled = R.int r in
+        if filled < 0 || filled >= m then
+          corrupt "vt: level %d filled %d outside [0, %d)" j filled m;
+        t.filled.(j) <- filled;
+        restore l r)
+      t.stats
 end
 
 module P2 = struct

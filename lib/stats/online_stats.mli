@@ -10,7 +10,8 @@
     All accumulators are mutable and single-threaded. *)
 
 type t
-(** Welford accumulator: count, mean, variance, min, max. *)
+(** Welford accumulator: count, mean, variance, min, max. Its state
+    is unboxed floats, the count exact below 2^53 observations. *)
 
 val create : unit -> t
 (** Fresh empty accumulator. *)
@@ -50,7 +51,8 @@ val save : t -> Ss_checkpoint.W.t -> unit
 val restore : t -> Ss_checkpoint.R.t -> unit
 (** Checkpoint codec: {!restore} overwrites the accumulator in place
     with a {!save}d state, bit-exactly.
-    @raise Ss_checkpoint.Corrupt on malformed data. *)
+    @raise Ss_checkpoint.Corrupt on malformed data, naming a count
+    outside [\[0, 2^53)]. *)
 
 (** Streaming variance–time Hurst estimation.
 
@@ -88,7 +90,8 @@ module Vt : sig
   val restore : t -> Ss_checkpoint.R.t -> unit
   (** Checkpoint codec; {!restore} requires an estimator created with
       the same [levels] and overwrites it in place.
-      @raise Ss_checkpoint.Corrupt on level-structure mismatch. *)
+      @raise Ss_checkpoint.Corrupt on level-structure mismatch, or a
+      level [j] whose open block holds a count outside [\[0, 2^j)]. *)
 end
 
 (** P² dynamic quantile estimation without stored samples.

@@ -178,6 +178,74 @@ let test_container_refusals () =
   (* Trailing garbage is corruption, not slack. *)
   raises_corrupt "trailing garbage" (fun () -> Ck.decode ~kind:"unit-test" (record ^ "x"))
 
+(* Bit-at-a-time CRC-32 with no table: the oracle for the sliced one. *)
+let crc32_oracle s =
+  let crc = ref 0xFFFF_FFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xFFFF_FFFF
+
+let test_crc32 () =
+  let check = Alcotest.(check int) in
+  check "known answer" 0xCBF43926 (Ck.Crc32.string "123456789");
+  check "oracle known answer" 0xCBF43926 (crc32_oracle "123456789");
+  let rng = Rng.create ~seed:32 in
+  let bytes n = String.init n (fun _ -> Char.chr (Rng.int_range rng 0 255)) in
+  (* Every tail length of the 8-byte slicing, at every alignment. *)
+  let s = bytes 80 in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      check
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc32_oracle (String.sub s pos len))
+        (Ck.Crc32.update 0 s pos len)
+    done
+  done;
+  (* High bytes in every position: a word read that dropped or
+     sign-extended a bit would show here. *)
+  let high = String.make 24 '\xFF' in
+  check "all-ones words" (crc32_oracle high) (Ck.Crc32.string high);
+  let big = bytes 137_575 in
+  check "137 kB" (crc32_oracle big) (Ck.Crc32.string big);
+  (* [update] chains across a split at any point. *)
+  List.iter
+    (fun k ->
+      let a = String.sub big 0 k and b = String.sub big k (String.length big - k) in
+      check
+        (Printf.sprintf "split at %d" k)
+        (Ck.Crc32.string big)
+        (Ck.Crc32.update (Ck.Crc32.string a) b 0 (String.length b)))
+    [ 0; 1; 7; 8; 13; 4096; 137_574; 137_575 ];
+  raises_invalid "range outside the string" (fun () -> Ck.Crc32.update 0 "abc" 1 3);
+  raises_invalid "negative length" (fun () -> Ck.Crc32.update 0 "abc" 0 (-1));
+  List.iter
+    (fun c ->
+      raises_invalid (Printf.sprintf "crc %d" c) (fun () -> Ck.Crc32.update c "abcdefgh" 0 8))
+    [ -1; 1 lsl 32; max_int ];
+  (* Digests captured with the byte-at-a-time CRC: the framing is unchanged. *)
+  let payload = String.init 137_575 (fun i -> Char.chr (((i * 131) + (i lsr 7)) land 0xff)) in
+  let record = Ck.encode ~kind:"crc-test" ~meta:"fixed payload" payload in
+  Alcotest.(check int) "record length" 137_640 (String.length record);
+  Alcotest.(check string)
+    "record digest" "d47c47ca87916b0e9e174521c04be190"
+    (Digest.to_hex (Digest.string record));
+  Alcotest.(check string)
+    "empty record digest" "a2d37aa95985611d9287d99c43f73276"
+    (Digest.to_hex (Digest.string (Ck.encode ~kind:"" ~meta:"" "")));
+  (* [to_file] writes the same bytes as [encode]. *)
+  let path = Filename.temp_file "ss-ckpt-crc" ".ckpt" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
+  Ck.to_file ~path ~kind:"crc-test" ~meta:"fixed payload" (fun w ->
+      String.iter (fun c -> W.u8 w (Char.code c)) payload);
+  Alcotest.(check bool)
+    "to_file = encode" true
+    (String.equal record (In_channel.with_open_bin path In_channel.input_all))
+
 let test_file_roundtrip () =
   let path = Filename.temp_file "ss-ckpt-test" ".ckpt" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
@@ -247,6 +315,37 @@ let test_online_roundtrips () =
   | _ -> Alcotest.fail "vt estimates disagree on availability");
   raises_corrupt "vt level mismatch" (fun () ->
       Online.Vt.restore (Online.Vt.create ~levels:5 ()) (reader (snap (Online.Vt.save va))));
+  (* Impossible counters are refused by name: a negative count (or one
+     the float count cannot hold exactly) would corrupt every later
+     mean, and a level's fill must lie in [0, 2^j). *)
+  let welford n w =
+    W.tag w "welford";
+    W.int w n;
+    List.iter (W.float w) [ 0.5; 0.25; 0.0; 1.0 ]
+  in
+  List.iter
+    (fun n ->
+      raises_corrupt ~contains:"count" (Printf.sprintf "welford count %d" n) (fun () ->
+          Online.restore (Online.create ()) (reader (snap (welford n)))))
+    [ -1; min_int; 1 lsl 53; max_int ];
+  let vt ~level ~filled w =
+    W.tag w "vt";
+    W.int w 3;
+    for j = 0 to 2 do
+      W.int w (1 lsl j);
+      W.float w 0.0;
+      W.int w (if j = level then filled else 0);
+      welford 4 w
+    done
+  in
+  Online.Vt.restore (Online.Vt.create ~levels:3 ()) (reader (snap (vt ~level:2 ~filled:3)));
+  List.iter
+    (fun (level, filled) ->
+      raises_corrupt ~contains:"filled"
+        (Printf.sprintf "vt level %d filled %d" level filled)
+        (fun () ->
+          Online.Vt.restore (Online.Vt.create ~levels:3 ()) (reader (snap (vt ~level ~filled)))))
+    [ (0, 1); (1, 2); (2, 4); (2, -1); (1, max_int) ];
   (* P² quantile marker state *)
   let pa = Online.P2.create ~p:0.9 in
   Array.iter (Online.P2.add pa) xs;
@@ -923,6 +1022,7 @@ let () =
           tc "primitive codec round-trip" test_codec_roundtrip;
           tc "reader refusals" test_reader_refusals;
           tc "framing refusals" test_container_refusals;
+          tc "crc32 = bitwise oracle, framing unchanged" test_crc32;
           tc "file round-trip + atomicity" test_file_roundtrip;
         ] );
       ( "codecs",

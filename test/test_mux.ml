@@ -2605,6 +2605,141 @@ let test_police_mux_integration () =
   close "clean source loses nothing" 0.0 r.Mux.per_source.(1).Mux.throttled
 
 (* ------------------------------------------------------------------ *)
+(* Policed, fault-injected run: fixture and allocation bound            *)
+(* ------------------------------------------------------------------ *)
+
+(* A small robust-ckpt scenario: 16 order-16 model sources behind
+   burst, drift and corrupt faults, all admitted by a CAC the policer
+   (window 256) renegotiates with, over a finite buffer. Over 4096
+   slots the policer flags drift, renegotiates, throttles and lifts
+   throttles; it evicts the drifting source 0 as a violator and source
+   7 at its corrupt-slot limit. Source 7's stall precedes its
+   corruption, so its corrupt slots depend on the events' order. *)
+let policed_scenario () =
+  let m = Lazy.force small_model in
+  let n = 16 in
+  let rng = Rng.create ~seed:1901 in
+  let raw =
+    Array.init n (fun i ->
+        Source.of_model ~name:(Printf.sprintf "p%d" i) ~order:16 m (Rng.split rng))
+  in
+  let spec = Fault.parse "*:burst@0.002+40x2.5;0:drift@512+100x3.0;7:stall@1024+256,corrupt@0.01" in
+  let srcs = Fault.wrap_all ~rng:(Rng.split rng) spec raw in
+  let per_mean = srcs.(0).Source.mean in
+  let service = float_of_int n *. per_mean /. 0.8 and buffer = 50.0 *. per_mean in
+  let cac = Admission.create ~service ~buffer ~epsilon:0.5 in
+  Array.iter
+    (fun s ->
+      match Admission.try_admit cac (Admission.descr_of_source s) with
+      | Admission.Admit _ -> ()
+      | Admission.Reject _ -> Alcotest.fail "policed scenario: a source was rejected")
+    srcs;
+  let police =
+    Police.create ~config:(police_config ~window:256) ~cac
+      (Array.map Admission.descr_of_source srcs)
+  in
+  (srcs, police, service, buffer)
+
+let test_police_fault_fixture () =
+  (* Bits captured while Welford state was boxed and fault events ran
+     slot by slot. The engine = oracle tests cannot see a bitwise
+     drift in these layers: the oracle shares Police, Online_stats and
+     Fault with the engine. *)
+  let srcs, police, service, buffer = policed_scenario () in
+  let snapshot = ref "none" in
+  let save ~slot fill =
+    if slot = 2048 then begin
+      let w = Ss_checkpoint.W.create () in
+      fill w;
+      snapshot := Digest.to_hex (Digest.string (Ss_checkpoint.W.contents w))
+    end
+  in
+  let r =
+    Mux.run ~checkpoint:{ Mux.every = 1024; save } ~police ~buffer ~service ~slots:4096 srcs
+  in
+  let hex x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  let descr b (d : Admission.descr) =
+    Printf.bprintf b " %s %s %s %s" d.Admission.name (hex d.Admission.mean)
+      (hex d.Admission.sigma2) (hex d.Admission.hurst)
+  in
+  let incidents = Buffer.create 4096 in
+  List.iter
+    (fun { Police.slot; source; event } ->
+      Printf.bprintf incidents "%d %s" slot source;
+      (match event with
+      | Police.Flagged Police.Conforming -> Buffer.add_string incidents " conforming"
+      | Police.Flagged (Police.Drifting d) ->
+        Buffer.add_string incidents " drifting";
+        descr incidents d
+      | Police.Flagged (Police.Violating why) -> Printf.bprintf incidents " violating %S" why
+      | Police.Renegotiated d ->
+        Buffer.add_string incidents " renegotiated";
+        descr incidents d
+      | Police.Demoted k -> Printf.bprintf incidents " demoted %d" k
+      | Police.Throttle_set cap -> Printf.bprintf incidents " throttle %s" (hex cap)
+      | Police.Evicted -> Buffer.add_string incidents " evicted");
+      Buffer.add_char incidents '\n')
+    (Police.incidents police);
+  let measured = Buffer.create 1024 in
+  Array.iteri
+    (fun i _ ->
+      (match Police.measured police i with
+      | None -> Buffer.add_string measured "none"
+      | Some d -> descr measured d);
+      Buffer.add_char measured '\n')
+    srcs;
+  let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  let check = Alcotest.(check string) in
+  check "mean_queue" "40ec1c90561d644d" (hex r.Mux.mean_queue);
+  check "loss_fraction" "3f9553d3514c3bb3" (hex r.Mux.loss_fraction);
+  Alcotest.(check int) "incident count" 49 (Police.incident_count police);
+  check "incidents" "0fc6b207ac0209a58c5660f203a212af" (digest incidents);
+  check "measured descriptors" "06233766b7e4c11b2a90b3a7e35b728f" (digest measured);
+  check "snapshot at slot 2048" "3e020afb61b0491527460450165ee512" !snapshot;
+  Alcotest.(check (list string))
+    "per source: offered, throttled, discarded"
+    [
+      "4174524f6f283917 4120b219ce07c0aa 4190726bf1e47faa";
+      "4180b1161257b44b 0000000000000000 0000000000000000";
+      "4183164547a0964e 0000000000000000 0000000000000000";
+      "418157a145bed5de 0000000000000000 0000000000000000";
+      "41813c7fa1d7f763 0000000000000000 0000000000000000";
+      "41805b1ff6b1f531 0000000000000000 0000000000000000";
+      "4183535af670f6f3 0000000000000000 0000000000000000";
+      "41649f1852fc0aa1 0000000000000000 4175b5bce201f4e8";
+      "417dcac837a3378f 0000000000000000 0000000000000000";
+      "4180614437d3aa66 0000000000000000 0000000000000000";
+      "417e3648596cdefa 0000000000000000 0000000000000000";
+      "418466a09976b557 0000000000000000 0000000000000000";
+      "4182fd9c64030769 0000000000000000 0000000000000000";
+      "4182a5bc48d99157 40b9e4e0d8a17d88 0000000000000000";
+      "4182c677885bc6a7 0000000000000000 0000000000000000";
+      "4183a8d22f5cd686 0000000000000000 0000000000000000";
+    ]
+    (Array.to_list
+       (Array.map
+          (fun s -> String.concat " " (List.map hex Mux.[ s.offered; s.throttled; s.discarded ]))
+          r.Mux.per_source))
+
+let test_police_fault_allocation () =
+  (* Policing and fault events do not box per source-slot: the Welford
+     and variance-time state is stored unboxed, and each event runs
+     over the whole pulled block. Measured on a non-flambda build:
+     ~8 minor words per source-slot (the pulls' own, the policer's
+     boxed argument, the burst draws), against ~46 when every Welford
+     update and event application boxed. *)
+  let run slots =
+    let srcs, police, service, buffer = policed_scenario () in
+    let w0 = Gc.minor_words () in
+    let (_ : Mux.report) = Mux.run ~police ~buffer ~service ~slots srcs in
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length srcs * slots)
+  in
+  let (_ : float) = run 1024 in
+  let words = run 4096 in
+  if words > 16.0 then
+    Alcotest.failf "policed, fault-injected run allocates %.2f minor words per source-slot" words
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -2728,6 +2863,8 @@ let () =
           tc "drift renegotiates" test_police_renegotiates_drift;
           tc "ladder without headroom" test_police_escalation_ladder_without_headroom;
           tc "mux integration" test_police_mux_integration;
+          tc "fixture: policed, fault-injected run" test_police_fault_fixture;
+          tc "policed, fault-injected allocation bound" test_police_fault_allocation;
         ] );
       ("properties", qcheck_cases);
     ]
