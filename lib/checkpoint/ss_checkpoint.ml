@@ -259,7 +259,14 @@ let decode ~kind s =
     corrupt "truncated checkpoint file (payload of %d bytes missing)" plen;
   let payload_pos = r.R.pos in
   r.R.pos <- payload_pos + plen;
+  (* The CRC field is 8 bytes wide and [frame] writes zero in its
+     upper four: anything else there is corruption the CRC itself
+     cannot see. *)
+  let crc_pos = r.R.pos in
   let stored_crc = R.int r land 0xFFFF_FFFF in
+  let upper = String.get_int32_le s (crc_pos + 4) in
+  if upper <> 0l then
+    corrupt "checkpoint CRC field has a nonzero upper half (0x%08lx): file is corrupted" upper;
   if r.R.pos <> String.length s then
     corrupt "trailing garbage after checkpoint record (%d extra bytes)"
       (String.length s - r.R.pos);

@@ -67,8 +67,10 @@ let dl_step_pool pool ~r ~k ~prev ~next ~v_prev =
    the sum. This is what lets the block kernel stay bit-identical to
    the historical per-slot path. [win.(top - 1)] must be the most
    recent value and the window must be contiguous going back [k]
-   entries; no bounds checks are performed. *)
-let ar_dot row win ~top ~k =
+   entries; no bounds checks are performed. Inlined, because a float
+   returned from a call is boxed: the per-source block kernel would
+   allocate two minor words per slot. *)
+let[@inline] ar_dot row win ~top ~k =
   let s = ref 0.0 in
   let j = ref 1 in
   let limit = k - 3 in

@@ -71,7 +71,7 @@ let episodes rng ~rate ~mean_len =
       decr remaining;
       true
     end
-    else if Rng.float rng < rate then begin
+    else if Rng.bernoulli rng rate then begin
       let len =
         Stdlib.max 1 (int_of_float (Float.round (-.mean_len *. log1p (-.Rng.float rng))))
       in
@@ -152,7 +152,7 @@ let compile rng event =
       apply =
         (fun w ~slot:_ off f ->
           for j = off to off + f - 1 do
-            if Rng.float rng < rate then
+            if Rng.bernoulli rng rate then
               w.(j) <- (if Rng.bool rng then Float.nan else -1.0 -. w.(j))
           done);
       ev_save =

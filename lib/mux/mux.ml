@@ -54,15 +54,17 @@ let staging_budget = 1 lsl 20
 let min_block = 8
 let max_block = 2048
 
-(* All-float mutable record for the per-slot Lindley/admission state:
-   float-only records are stored flat, so updating a field is an
-   unboxed store — unlike [float ref], whose [:=] boxes a fresh float
-   every assignment. This keeps the sequential admission loop free of
-   per-slot allocation. *)
+(* All-float mutable record for the Lindley state and the per-class
+   scratch: float-only records are stored flat, so updating a field is
+   an unboxed store. A field is still a memory cell, though: a chain of
+   additions into one waits on a store and a reload per step. The
+   admission loop's per-source sums are therefore local [float ref]s,
+   which ocamlopt turns into unboxed mutable variables held in
+   registers (no allocation on [:=]) as long as no closure captures
+   them. *)
 type slot_state = {
   mutable q : float;  (* Lindley queue *)
   mutable served : float;  (* total work served *)
-  mutable adm : float;  (* work admitted this slot *)
   mutable room : float;  (* remaining admission room this slot *)
   mutable rem : float;  (* remaining service in the class replay *)
   mutable prefix : float;  (* class-backlog prefix sum *)
@@ -89,7 +91,7 @@ type checkpoint = {
    codec below has one explicit, auditable list of "what survives a
    resume". Everything NOT in here — staging buffers, per-slot scratch
    ([works]/[classes]/[class_sums]/[class_scale]/[class_adm], the
-   adm/room/rem/prefix slot fields, shard transpose state) — is
+   room/rem/prefix slot fields, shard transpose state) — is
    recomputed from scratch every slot or block, so a resumed run
    rebuilds it identically by construction.
    [es_traj_cls] is the one trajectory array that carries state across
@@ -508,17 +510,18 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   let traj_served = if has_traj then Array.make n 0.0 else [||] in
   let traj_delay = if has_traj then Array.make n 0.0 else [||] in
   let traj_cls = if has_traj then Array.make (max_classes * n) 0.0 else [||] in
-  let traj_prefix = if has_traj then Array.make max_classes 0.0 else [||] in
+  (* Per-class virtual delay of the slot, read by each source's
+     trajectory delay. *)
+  let traj_class_delay = if has_traj then Array.make max_classes 0.0 else [||] in
   let unbounded = buffer = infinity in
-  let st = { q = 0.0; served = 0.0; adm = 0.0; room = 0.0; rem = 0.0; prefix = 0.0 } in
-  (* Fast lane: when a whole staged block carried only class 0 and no
-     per-source machinery (policing, finite-buffer replay, trajectory
-     capture) needs the staged values later, the accounting pass can
-     skip the class row and the dead works/classes stores. Every
-     floating-point addition it performs is the same value added to
-     the same accumulator in the same source order as the general
-     pass, so the lane is bitwise invisible. *)
-  let fast_ok = Option.is_none police && unbounded && not has_traj in
+  let st = { q = 0.0; served = 0.0; room = 0.0; rem = 0.0; prefix = 0.0 } in
+  (* Single-class lane: when a whole staged block carried only class 0
+     and neither a policer nor a trajectory sink reads per-source
+     outcomes, admission needs no class row and no works/classes
+     scratch, at any buffer. Every floating-point operation it performs
+     is the general path's for class 0, on the same values in the same
+     source order, so the lane is bitwise invisible. *)
+  let lane_ok = Option.is_none police && not has_traj in
   let blk_all0 = ref false in
   let es =
     {
@@ -582,30 +585,66 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
          !ok)
     end;
     let row = (t - !base) * rstride in
-    st.adm <- 0.0;
-    if fast_ok && !blk_all0 then begin
+    (* The slot's admitted work, summed in source order. *)
+    let adm = ref 0.0 in
+    if lane_ok && !blk_all0 then begin
+      (* Pass 1 zeroes corrupt work in place in the row, accounts the
+         offered work and sums it. An unbounded buffer admits it all,
+         so admission is folded in: [adm] is then that same sum. *)
+      let sum = ref 0.0 in
       for i = 0 to n - 1 do
         let w0 = Array.unsafe_get wrow (row + i) in
         let w =
           if w0 <> w0 || w0 < 0.0 || w0 = infinity then begin
-            corrupt.(i) <- corrupt.(i) + 1;
+            Array.unsafe_set corrupt i (Array.unsafe_get corrupt i + 1);
+            Array.unsafe_set wrow (row + i) 0.0;
             0.0
           end
           else w0
         in
-        offered.(i) <- offered.(i) +. w;
-        if w > peak.(i) then peak.(i) <- w;
-        class_sums.(0) <- class_sums.(0) +. w;
-        st.adm <- st.adm +. w;
-        admitted.(i) <- admitted.(i) +. w
+        Array.unsafe_set offered i (Array.unsafe_get offered i +. w);
+        if w > Array.unsafe_get peak i then Array.unsafe_set peak i w;
+        sum := !sum +. w;
+        if unbounded then Array.unsafe_set admitted i (Array.unsafe_get admitted i +. w)
       done;
       if !top_class < 0 then begin
         class_quant.(0) <-
           Some (Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles));
         top_class := 0
       end;
-      class_adm.(0) <- class_sums.(0);
-      class_sums.(0) <- 0.0
+      let s = !sum in
+      if unbounded then begin
+        adm := s;
+        class_adm.(0) <- s
+      end
+      else begin
+        (* Class 0's admission, as in the general path below. *)
+        let room = fmax 0.0 (buffer +. service -. st.q) in
+        let f = if s <= 0.0 then 0.0 else if s <= room then 1.0 else room /. s in
+        class_scale.(0) <- f;
+        st.room <- fmax 0.0 (room -. (s *. f));
+        class_adm.(0) <- s *. f;
+        if f = 1.0 then begin
+          (* The whole slot fits: [w *. 1.0 = w], so the admitted sum
+             is pass 1's sum, and [lost] would gain [w -. w = +0.0],
+             which changes no sum that is not -0.0. [lost] starts at
+             +0.0 and only ever adds such differences, never -0.0, so
+             it is never -0.0 and is left alone. *)
+          adm := s;
+          for i = 0 to n - 1 do
+            Array.unsafe_set admitted i
+              (Array.unsafe_get admitted i +. Array.unsafe_get wrow (row + i))
+          done
+        end
+        else
+          for i = 0 to n - 1 do
+            let w = Array.unsafe_get wrow (row + i) in
+            let a = w *. f in
+            adm := !adm +. a;
+            Array.unsafe_set admitted i (Array.unsafe_get admitted i +. a);
+            Array.unsafe_set lost i (Array.unsafe_get lost i +. (w -. a))
+          done
+      end
     end
     else begin
     let max_class = ref 0 in
@@ -647,8 +686,9 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
           (* The policer judges the work the source tried to send;
              the buffer sees the throttled remainder. Corrupt slots
              went to [note_corrupt] instead — a NaN would poison the
-             moment estimates. *)
-          if not was_corrupt then Police.observe p ~slot:t i w;
+             moment estimates. The policer reads the work from the
+             row, so the float is not boxed for the call. *)
+          if not was_corrupt then Police.observe_at p ~slot:t i wrow (row + i);
           let cap = Police.cap p i in
           if w > cap then begin
             throttled.(i) <- throttled.(i) +. (w -. cap);
@@ -665,7 +705,7 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
       if c > !max_class then max_class := c;
       class_sums.(c) <- class_sums.(c) +. w;
       if unbounded then begin
-        st.adm <- st.adm +. w;
+        adm := !adm +. w;
         admitted.(i) <- admitted.(i) +. w
       end
     done;
@@ -700,7 +740,7 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
       for i = 0 to n - 1 do
         let w = works.(i) in
         let a = w *. class_scale.(classes.(i)) in
-        st.adm <- st.adm +. a;
+        adm := !adm +. a;
         admitted.(i) <- admitted.(i) +. a;
         lost.(i) <- lost.(i) +. (w -. a)
       done
@@ -713,8 +753,8 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
         let idx = (classes.(i) * n) + i in
         traj_cls.(idx) <- traj_cls.(idx) +. a
       done;
-    st.served <- st.served +. fmin service (st.q +. st.adm);
-    st.q <- fmax 0.0 (st.q +. st.adm -. service);
+    st.served <- st.served +. fmin service (st.q +. !adm);
+    st.q <- fmax 0.0 (st.q +. !adm -. service);
     (* Replay the slot on the class backlogs: arrivals, then strict
        priority service of the slot's capacity; the trajectory splits
        a class's served work over its sources' backlog cells. *)
@@ -741,11 +781,12 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
     st.prefix <- 0.0;
     for c = 0 to !top_class do
       st.prefix <- st.prefix +. class_backlog.(c);
-      if has_traj then traj_prefix.(c) <- st.prefix;
+      let d = st.prefix /. service in
+      if has_traj then traj_class_delay.(c) <- d;
       match class_quant.(c) with
       | Some qs ->
         for j = 0 to Array.length qs - 1 do
-          Online.P2.add (snd qs.(j)) (st.prefix /. service)
+          Online.P2.add (snd qs.(j)) d
         done
       | None -> ()
     done;
@@ -753,7 +794,7 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
     | None -> ()
     | Some f ->
       for i = 0 to n - 1 do
-        traj_delay.(i) <- traj_prefix.(classes.(i)) /. service
+        traj_delay.(i) <- traj_class_delay.(classes.(i))
       done;
       f ~slot:t ~served:traj_served ~delays:traj_delay);
     Online.add queue_stats st.q;

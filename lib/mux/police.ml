@@ -252,15 +252,21 @@ let close_window t ~slot i =
       if s.consec_bad >= c.evict_after then do_evict t ~slot i
   end
 
-let observe t ~slot i w =
+(* The work is read from [a.(j)] by the accumulators themselves: a
+   float passed to a function in another module is boxed at the call
+   (dune's dev profile compiles with [-opaque], so nothing inlines
+   across modules). *)
+let observe_at t ~slot i a j =
   check t i "observe";
   let s = t.states.(i) in
   if not s.evicted then begin
-    Online.add s.win w;
-    Online.Vt.add s.vt w;
+    Online.add_at s.win a j;
+    Online.Vt.add_at s.vt a j;
     s.filled <- s.filled + 1;
     if s.filled >= t.config.window then close_window t ~slot i
   end
+
+let observe t ~slot i w = observe_at t ~slot i [| w |] 0
 
 let note_corrupt t ~slot i =
   check t i "note_corrupt";

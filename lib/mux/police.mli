@@ -88,6 +88,13 @@ val observe : t -> slot:int -> int -> float -> unit
     [config.window] observations. Ignored for evicted sources.
     @raise Invalid_argument on an out-of-range index. *)
 
+val observe_at : t -> slot:int -> int -> float array -> int -> unit
+(** [observe_at t ~slot i a j] feeds [a.(j)] as {!observe} feeds its
+    work argument, reading it in place: the mux's admission loop
+    passes its staged row, so no float is boxed per source-slot.
+    @raise Invalid_argument on an out-of-range source index, or on
+    [j] outside [a] when the source is not evicted. *)
+
 val note_corrupt : t -> slot:int -> int -> unit
 (** Report a corrupt slot (NaN/negative/infinite work) for source
     [i]. Corrupt slots bypass {!observe} — they would poison the

@@ -24,6 +24,7 @@ let[@inline] add t x =
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
+let add_at t a j = add t a.(j)
 let count t = int_of_float t.n
 let check_nonempty t name = if t.n = 0.0 then invalid_arg ("Online_stats." ^ name ^ ": empty")
 
@@ -107,7 +108,7 @@ module Vt = struct
       stats = Array.init levels (fun _ -> create ());
     }
 
-  let add t x =
+  let[@inline] add t x =
     for j = 0 to Array.length t.sums - 1 do
       let m = 1 lsl j in
       let sum = t.sums.(j) +. x and filled = t.filled.(j) + 1 in
@@ -122,6 +123,7 @@ module Vt = struct
       end
     done
 
+  let add_at t a j = add t a.(j)
   let count t = count t.stats.(0)
 
   let min_blocks = 4

@@ -19,6 +19,11 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Feed one observation. *)
 
+val add_at : t -> float array -> int -> unit
+(** [add_at t a j] is [add t a.(j)], reading the observation in place
+    so that no boxed float crosses the call.
+    @raise Invalid_argument if [j] is outside [a]. *)
+
 val count : t -> int
 
 val mean : t -> float
@@ -75,6 +80,10 @@ module Vt : sig
 
   val add : t -> float -> unit
   (** Feed one observation. *)
+
+  val add_at : t -> float array -> int -> unit
+  (** [add_at t a j] is [add t a.(j)], without boxing the observation.
+      @raise Invalid_argument if [j] is outside [a]. *)
 
   val count : t -> int
   (** Observations fed so far. *)

@@ -102,6 +102,7 @@ let split_n t n =
   out
 
 let float t = next_float t.s
+let bernoulli t p = next_float t.s < p
 
 let float_range t a b =
   if b <= a then invalid_arg "Rng.float_range: empty range";

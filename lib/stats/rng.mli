@@ -47,6 +47,12 @@ val bits64 : t -> int64
 val float : t -> float
 (** Uniform float in [\[0, 1)] with 53 random bits. *)
 
+val bernoulli : t -> float -> bool
+(** [bernoulli t p] is [float t < p]: the same draw and the same
+    comparison, true with probability [p] for [p] in [\[0, 1\]]. It
+    returns no float, so it allocates nothing, where {!float} boxes
+    its result. *)
+
 val float_range : t -> float -> float -> float
 (** [float_range t a b] is uniform in [\[a, b)].
     @raise Invalid_argument if [b <= a]. *)

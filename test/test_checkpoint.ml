@@ -246,6 +246,22 @@ let test_crc32 () =
     "to_file = encode" true
     (String.equal record (In_channel.with_open_bin path In_channel.input_all))
 
+let test_crc_field_bytes () =
+  (* A record ends in its 8-byte CRC field: the CRC in the low four
+     bytes, zero in the high four. Flipping any one of the eight must
+     be refused, the high four by name before the CRC comparison. *)
+  let record = Ck.encode ~kind:"crc-field" ~meta:"m" (String.make 100 'x') in
+  let field = String.length record - 8 in
+  ignore (Ck.decode ~kind:"crc-field" record : string * R.t);
+  for k = 0 to 7 do
+    let b = Bytes.of_string record in
+    Bytes.set b (field + k) (Char.chr (Char.code (Bytes.get b (field + k)) lxor 0x80));
+    raises_corrupt
+      ~contains:(if k < 4 then "CRC mismatch" else "CRC field has a nonzero upper half")
+      (Printf.sprintf "flipped CRC byte %d" k)
+      (fun () -> Ck.decode ~kind:"crc-field" (Bytes.to_string b))
+  done
+
 let test_file_roundtrip () =
   let path = Filename.temp_file "ss-ckpt-test" ".ckpt" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
@@ -1023,6 +1039,7 @@ let () =
           tc "reader refusals" test_reader_refusals;
           tc "framing refusals" test_container_refusals;
           tc "crc32 = bitwise oracle, framing unchanged" test_crc32;
+          tc "crc field: every byte checked" test_crc_field_bytes;
           tc "file round-trip + atomicity" test_file_roundtrip;
         ] );
       ( "codecs",

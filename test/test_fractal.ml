@@ -1063,6 +1063,23 @@ let test_fill_many_apply_into_no_alloc () =
   if words <> 0.0 then
     Alcotest.failf "%d grouped slots allocated %.0f minor words" (2 * n * len) words
 
+let test_block_fill_no_alloc () =
+  (* The per-source exact kernel, which fault-wrapped and twisted
+     sources run, allocates nothing per slot: its AR dot product is
+     inlined, so no float result is boxed. *)
+  let order = 16 and len = 2048 in
+  let table = Hosking.Table.make ~acf:(Acf.fgn ~h:0.8) ~n:(order + 1) in
+  let b = Hosking.Block.create ~table ~order () in
+  let rng = Rng.create ~seed:175 in
+  let buf = Array.make len 0.0 in
+  Hosking.Block.fill b rng buf ~off:0 ~len;
+  let w0 = Gc.minor_words () in
+  Hosking.Block.fill b rng buf ~off:0 ~len;
+  Hosking.Block.fill b rng buf ~off:0 ~len;
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0.0 then
+    Alcotest.failf "%d per-source slots allocated %.0f minor words" (2 * len) words
+
 let test_attenuation_identity_is_one () =
   (* A linear transform attenuates nothing. *)
   let t = Transform.make (Dist.normal ~mean:5.0 ~std:3.0) in
@@ -1501,6 +1518,7 @@ let () =
           tc "relax close to exact" test_transform_relax_close;
           tc "apply_into = apply1, bitwise" test_transform_apply_into_bitwise;
           tc "fill_many + apply_into allocate nothing" test_fill_many_apply_into_no_alloc;
+          tc "per-source block fill allocates nothing" test_block_fill_no_alloc;
           tc "attenuation of linear is 1" test_attenuation_identity_is_one;
           tc "moments memo" test_transform_moments;
           tc "attenuation in (0,1]" test_attenuation_in_unit_interval;

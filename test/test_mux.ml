@@ -1934,6 +1934,69 @@ let prop_mux_matches_oracle =
           same (r, List.filter (fun (s, _, _) -> s >= slot) rows)
             (run (engine ?checkpoint:None ~resume)))
 
+let prop_mux_single_class_matches_oracle =
+  QCheck.Test.make ~name:"single-class finite-buffer Mux.run = naive oracle, bitwise" ~count:40
+    ~long_factor:25
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 300))
+    (fun (seed, slots) ->
+      (* Every [mixed_sources] kind but the multi-class pull (2), so
+         every staged block is all class 0; no policer and no
+         trajectory, over a finite buffer: empty, small or large. *)
+      let rng = Rng.create ~seed in
+      let pick xs = List.nth xs (Rng.int_range rng 0 (List.length xs - 1)) in
+      let kinds = List.init (Rng.int_range rng 1 40) (fun _ -> pick [ 0; 1; 3; 4; 5; 6; 7 ]) in
+      let load = Rng.float_range rng 0.5 1.5 in
+      let service =
+        Array.fold_left (fun a s -> a +. s.Source.mean) 0.0 (mixed_sources ~seed kinds) /. load
+      in
+      let small = Rng.float_range rng 0.01 0.5 and large = Rng.float_range rng 2.0 8.0 in
+      let buffer = pick [ 0.0; small *. service; large *. service ] in
+      let thresholds =
+        List.init (Rng.int_range rng 0 2) (fun _ -> Rng.float_range rng 0.0 2.0 *. service)
+      in
+      let quantiles = pick [ [ 0.5; 0.9; 0.99 ]; []; [ 0.25 ] ] in
+      let shards = pick [ 1; 2; 4; 7 ] in
+      let pooled = Rng.bool rng in
+      let split =
+        if slots > 1 && Rng.bool rng then Some (Rng.int_range rng 1 (slots - 1)) else None
+      in
+      let oracle ?stop_above ?observe () =
+        Mux_oracle.run ~buffer ~thresholds ~quantiles ?stop_above ?observe ~service ~slots
+          (mixed_sources ~seed kinds)
+      in
+      let stop_above =
+        if Rng.bool rng then begin
+          let path = Array.make slots 0.0 in
+          ignore (oracle ~observe:(fun t q -> path.(t) <- q) () : Mux.report);
+          let q = path.(Rng.int_range rng 0 (slots - 1)) in
+          Some (if q > 0.0 then Float.pred q else 0.0)
+        end
+        else None
+      in
+      let want = oracle ?stop_above () in
+      let pool = if pooled then Some (Pool.create ~domains:2) else None in
+      Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
+      let engine ?checkpoint ?resume () =
+        Mux.run ?pool ~shards ~buffer ~thresholds ~quantiles ?stop_above ?checkpoint ?resume
+          ~service ~slots (mixed_sources ~seed kinds)
+      in
+      match split with
+      | None -> Mux.equal_report want (engine ())
+      | Some every -> (
+        let first = ref None in
+        let save ~slot:_ fill =
+          if !first = None then begin
+            let w = Ss_checkpoint.W.create () in
+            fill w;
+            first := Some (Ss_checkpoint.R.of_string (Ss_checkpoint.W.contents w))
+          end
+        in
+        Mux.equal_report want (engine ~checkpoint:{ Mux.every; save } ())
+        &&
+        match !first with
+        | None -> true
+        | Some resume -> Mux.equal_report want (engine ~resume ())))
+
 (* ------------------------------------------------------------------ *)
 (* Mux_is: importance-sampled shared-buffer overflow                    *)
 (* ------------------------------------------------------------------ *)
@@ -2739,6 +2802,150 @@ let test_police_fault_allocation () =
   if words > 16.0 then
     Alcotest.failf "policed, fault-injected run allocates %.2f minor words per source-slot" words
 
+let test_police_fault_allocation_unboxed () =
+  (* The policer reads each source's work from the staged row, the
+     burst and corrupt events draw with [Rng.bernoulli], and the
+     per-source AR kernel that fault-wrapped sources run inlines its
+     dot product, so none of them boxes a float per source-slot.
+     Measured on a non-flambda build: 2.0 minor words per source-slot,
+     against 7.8 when all three did. *)
+  let run slots =
+    let srcs, police, service, buffer = policed_scenario () in
+    let w0 = Gc.minor_words () in
+    let (_ : Mux.report) = Mux.run ~police ~buffer ~service ~slots srcs in
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length srcs * slots)
+  in
+  let (_ : float) = run 1024 in
+  let words = run 4096 in
+  if words > 3.0 then
+    Alcotest.failf "policed, fault-injected run allocates %.2f minor words per source-slot" words
+
+(* ------------------------------------------------------------------ *)
+(* Finite-buffer, single-class runs                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* 300 cycling replays and one 40-slot replay that departs (ten
+   32-source staging tiles, the last one partial), all class 0 and
+   unpoliced, over a finite buffer that fills on about 3% of the
+   slots. Sources 17 and 230 carry NaN, -1, +inf and -0.0 at fixed
+   positions of their cycles. *)
+let lane_sources () =
+  let rng = Rng.create ~seed:2020 in
+  let seg i =
+    let len = Rng.int_range rng 48 160 in
+    let mean = 0.5 +. (0.25 *. float_of_int (i mod 5)) in
+    Array.init len (fun _ -> Rng.exponential rng ~rate:(1.0 /. mean))
+  in
+  let cycling =
+    Array.init 300 (fun i ->
+        let a = seg i in
+        if i = 17 then begin
+          a.(3) <- nan;
+          a.(20) <- -1.0;
+          a.(41) <- -0.0
+        end;
+        if i = 230 then begin
+          a.(5) <- infinity;
+          a.(11) <- -0.0;
+          a.(30) <- nan
+        end;
+        Source.of_array ~name:(Printf.sprintf "r%03d" i) ~cycle:true a)
+  in
+  Array.append cycling [| Source.of_array ~name:"short" (Array.sub (seg 300) 0 40) |]
+
+let lane_buffer = 20.0
+let lane_service = 320.0
+let lane_slots = 3000
+
+let lane_run ?pool ?shards ?checkpoint ?resume ?stop_above () =
+  Mux.run ?pool ?shards ?checkpoint ?resume ?stop_above ~buffer:lane_buffer
+    ~service:lane_service ~slots:lane_slots (lane_sources ())
+
+let test_mux_lane_fixture () =
+  (* Bits captured while every finite-buffer run took the general
+     admission path, which streams the class row and the works/classes
+     scratch. *)
+  let r = lane_run () in
+  let hex x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  let per_source = Buffer.create 65536 in
+  Array.iter
+    (fun s ->
+      Printf.bprintf per_source "%s %s %s %s %s %d %s\n" s.Mux.name (hex s.Mux.offered)
+        (hex s.Mux.admitted) (hex s.Mux.lost) (hex s.Mux.peak_rate) s.Mux.corrupt_slots
+        (match s.Mux.departed_at with None -> "-" | Some t -> string_of_int t))
+    r.Mux.per_source;
+  let quantiles qs = String.concat " " (List.map (fun (_, v) -> hex v) qs) in
+  Alcotest.(check (list (pair string string)))
+    "finite-buffer single-class run"
+    [
+      ("mean_queue", "3ffd3d9fbe9df3e8");
+      ("max_queue", "4034000000000080");
+      ("loss_fraction", "3f507f0c392d7f65");
+      ("carried_utilization", "3fee16ff02175530");
+      ("queue quantiles", "3e92a20f91ec624f 40201e938f3dbebc 4033fffffd724307");
+      ("delay quantiles", "3e0dd018e97a074e 3f99ca85b1fc645e 3faffffffbea04d7");
+      ("source 17 lost", "40088327e0056107");
+      ("source 230 admitted", "4090efaf58b0eede");
+      ("corrupt slots", "44 106");
+      ("departed at", "40");
+      ("per source", "4836c6937882a8f3e77d968e58c2ef5a");
+    ]
+    [
+      ("mean_queue", hex r.Mux.mean_queue);
+      ("max_queue", hex r.Mux.max_queue);
+      ("loss_fraction", hex r.Mux.loss_fraction);
+      ("carried_utilization", hex r.Mux.carried_utilization);
+      ("queue quantiles", quantiles r.Mux.queue_quantiles);
+      ("delay quantiles", quantiles r.Mux.delay_quantiles);
+      ("source 17 lost", hex r.Mux.per_source.(17).Mux.lost);
+      ("source 230 admitted", hex r.Mux.per_source.(230).Mux.admitted);
+      ( "corrupt slots",
+        Printf.sprintf "%d %d" r.Mux.per_source.(17).Mux.corrupt_slots
+          r.Mux.per_source.(230).Mux.corrupt_slots );
+      ( "departed at",
+        Option.fold ~none:"-" ~some:string_of_int r.Mux.per_source.(300).Mux.departed_at );
+      ("per source", Digest.to_hex (Digest.string (Buffer.contents per_source)));
+    ]
+
+let test_mux_lane_matches_oracle () =
+  (* The fixture's run is the naive oracle's, bitwise: at 1, 3 and 4
+     shards and over a pool, across a checkpoint split and its resume,
+     and stopped at its first queue above 0.9 of the buffer. *)
+  let oracle ?stop_above () =
+    Mux_oracle.run ?stop_above ~buffer:lane_buffer ~service:lane_service ~slots:lane_slots
+      (lane_sources ())
+  in
+  let whole = oracle () in
+  let check ?(want = whole) label r =
+    if not (Mux.equal_report want r) then Alcotest.failf "%s: differs from the oracle" label
+  in
+  List.iter
+    (fun shards -> check (Printf.sprintf "shards=%d" shards) (lane_run ~shards ()))
+    [ 1; 3; 4 ];
+  let pool = Pool.create ~domains:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      check "pooled" (lane_run ~pool ());
+      check "pooled, shards=3" (lane_run ~pool ~shards:3 ()));
+  let first = ref None in
+  let save ~slot fill =
+    if !first = None then begin
+      let w = Ss_checkpoint.W.create () in
+      fill w;
+      first := Some (slot, Ss_checkpoint.W.contents w)
+    end
+  in
+  check "checkpointed" (lane_run ~checkpoint:{ Mux.every = 1100; save } ());
+  let slot, bytes = Option.get !first in
+  check
+    (Printf.sprintf "resumed at slot %d" slot)
+    (lane_run ~resume:(Ss_checkpoint.R.of_string bytes) ());
+  let stop_above = 0.9 *. lane_buffer in
+  let want = oracle ~stop_above () in
+  if want.Mux.first_passage = None then Alcotest.fail "the stopped run never stopped: vacuous";
+  check ~want "stopped" (lane_run ~stop_above ())
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
@@ -2748,6 +2955,7 @@ let qcheck_cases =
       prop_online_merge;
       prop_p2_within_range;
       prop_mux_matches_oracle;
+      prop_mux_single_class_matches_oracle;
     ]
 
 let () =
@@ -2823,6 +3031,8 @@ let () =
           tc "sharded + police + faults identical" test_mux_sharded_police_fault_identity;
           tc "sharded trajectory identical" test_mux_sharded_trajectory_identity;
           tc "stop dispatch / refusal" test_mux_sharded_stop_dispatch;
+          tc "fixture: finite buffer, single class" test_mux_lane_fixture;
+          tc "finite buffer, single class = oracle" test_mux_lane_matches_oracle;
         ] );
       ( "mux-is",
         [
@@ -2865,6 +3075,7 @@ let () =
           tc "mux integration" test_police_mux_integration;
           tc "fixture: policed, fault-injected run" test_police_fault_fixture;
           tc "policed, fault-injected allocation bound" test_police_fault_allocation;
+          tc "policed, fault-injected run boxes no work" test_police_fault_allocation_unboxed;
         ] );
       ("properties", qcheck_cases);
     ]
