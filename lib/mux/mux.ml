@@ -89,8 +89,9 @@ type checkpoint = {
 
 (* The engine's persistent accumulators, gathered in one record so the
    codec below has one explicit, auditable list of "what survives a
-   resume". Everything NOT in here — staging buffers, per-slot scratch
-   ([works]/[classes]/[class_sums]/[class_scale]/[class_adm], the
+   resume". Everything NOT in here — staging buffers, per-slot and
+   per-block scratch ([works]/[classes]/[class_sums]/[class_scale]/
+   [class_adm], the source-major [tot]/[ctop]/[csum]/[fsc], the
    room/rem/prefix slot fields, shard transpose state) — is
    recomputed from scratch every slot or block, so a resumed run
    rebuilds it identically by construction.
@@ -263,8 +264,9 @@ let validate_checkpoint ?checkpoint ?resume sources =
         if not (Source.supports_checkpoint s) then
           invalid_arg
             (Printf.sprintf
-               "Mux.run: source %s does not support checkpointing (importance-sampled \
-                sources carry likelihood state outside the snapshot)"
+               "Mux.run: source %s does not support checkpointing (either a hand-rolled \
+                Source.make pull without ~ckpt, or an importance-sampled source, whose \
+                likelihood state lives outside the snapshot)"
                s.Source.name))
       sources
   end
@@ -276,31 +278,55 @@ let validate_checkpoint ?checkpoint ?resume sources =
 (* Per-domain sub-muxes. The N sources are partitioned into [shards]
    contiguous shards (shard s owns [s*n/shards, (s+1)*n/shards));
    each shard advances all its sources a whole block of slots through
-   their block pulls — into a source-major region only it writes —
-   then transposes its columns of the block into slot-major rows.
-   Shards synchronize only at the per-block {!Ss_parallel.Barrier};
-   there is no per-slot or per-source cross-domain traffic.
+   their block pulls, into a source-major region of the stage only it
+   writes. Shards synchronize only at the per-block
+   {!Ss_parallel.Barrier}; there is no per-slot or per-source
+   cross-domain traffic. The caller then admits the block, in one of
+   two layouts decided once per run.
 
-   The sequential admission loop then consumes the slot-major rows:
-   slot t's N arrivals are contiguous in memory, so the per-slot
-   accounting pass reads one row instead of striding across N
-   per-source buffers (one cache line per source per slot once N is
-   large).
+   Source-major admission, for every run with neither a policer nor
+   a trajectory sink, reads the stage where the shards left it, in
+   three passes per block:
+   - pass A takes the sources in index order, each over its staged
+     segment, and adds its sanitized work into the block's per-slot
+     totals [tot] (and, once a class other than 0 appears, into the
+     per-(class, slot) sums), so every slot sum gets its additions in
+     source order;
+   - pass B runs the slots in order: admission fractions, the
+     Lindley step, class backlogs, statistics and [stop_above]. A slot
+     whose every class with positive work fits admits exactly [tot]
+     ([w *. 1.0 = w], and a class summing to <= 0 holds only +-0.0
+     work, for which [w *. 0.0 = w]); a slot that cuts or refuses a
+     class gathers its column and sums [w *. f] in source order;
+   - pass C takes each source over the block's admitted slots (up to
+     tau, or the block end) and updates its corrupt count, offered,
+     peak, admitted and lost in slot order.
+   The general slot-major layout, for policed and trajectory-capturing
+   runs, has each shard also transpose its columns of the block into
+   slot-major rows ([wrow]/[crow]); the admission loop then makes one
+   pass over each slot's contiguous row, where the policer and the
+   trajectory read per-source outcomes slot by slot.
 
-   Bit-identity, by construction, at any (shards, domains, block):
-   shards only decide WHICH task pulls a source's block and restages
-   it — per-source pull order is unchanged, staged values are copied,
-   never combined — and every floating-point reduction (class sums,
-   admitted work, Lindley step, quantiles) happens on the caller in
-   pinned source order. Integer per-source state merged at the
-   barrier (departure flags and slots) is written only by the owning
-   shard.
+   Bit-identity, by construction, at any (shards, domains, block) and
+   in either layout: shards only decide WHICH task pulls a source's
+   block — per-source pull order is unchanged, staged values are
+   copied, never combined — and every floating-point reduction
+   happens on the caller in a pinned order: slot sums in source order
+   (pass A, and the general row pass), partial-slot admitted totals in
+   source order (pass B), per-source totals in slot order (pass C).
+   Pass C runs before the next block is staged, so snapshots still
+   land only on block boundaries with every accumulator complete, and
+   [save_engine]'s bytes do not depend on the layout. Integer
+   per-source state merged at the barrier (departure flags and slots)
+   is written only by the owning shard.
 
    With [stop_above] the admission loop ends after the first slot tau
    whose queue exceeds it (the importance sampler's first passage);
    every source has then produced the slots of tau's staging block,
    at most [min_block - 1] past tau, and the report covers slots
-   0..tau. *)
+   0..tau. A class outside [0, max_classes) is refused at the first
+   slot the loop examines that carries one, naming that slot's lowest
+   such source; slots past tau are never examined. *)
 let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.5; 0.9; 0.99 ])
     ?stop_above ?police ?trajectory ?checkpoint ?resume ~service ~slots sources =
   if slots <= 0 then invalid_arg "Mux.run: slots <= 0";
@@ -344,23 +370,25 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
     | Some ck -> Stdlib.max 1 (Stdlib.min block ck.every)
     | None -> block
   in
+  let has_traj = trajectory <> None in
+  let source_major = Option.is_none police && not has_traj in
   let departed = Array.make n false in
   let departed_at = Array.make n (-1) in
   (* Source-major staging (shard-local writes: source i owns
-     [i*sstride .. i*sstride + block - 1]) and its slot-major
-     transpose (slot b of the block owns [b*rstride .. b*rstride +
-     n - 1]). Both strides are padded past the logical row length:
-     block and n are routinely powers of two, and an exact
-     power-of-two byte stride makes every transpose-tile row alias
-     the same cache sets (the 8 KB-stride pathology), turning the
-     tiled transpose into pure conflict misses. One line of slack
-     breaks the aliasing; the pad cells are never read. *)
+     [i*sstride .. i*sstride + block - 1]) and, on the general path
+     only, its slot-major transpose (slot b of the block owns
+     [b*rstride .. b*rstride + n - 1]). Both strides are padded past
+     the logical row length: block and n are routinely powers of two,
+     and an exact power-of-two byte stride makes every transpose-tile
+     row alias the same cache sets (the 8 KB-stride pathology),
+     turning the tiled transpose into pure conflict misses. One line
+     of slack breaks the aliasing; the pad cells are never read. *)
   let sstride = block + 8 in
   let rstride = n + 8 in
   let wbuf = Array.make (sstride * n) 0.0 in
   let cbuf = Array.make (sstride * n) 0 in
-  let wrow = Array.make (block * rstride) 0.0 in
-  let crow = Array.make (block * rstride) 0 in
+  let wrow = if source_major then [||] else Array.make (block * rstride) 0.0 in
+  let crow = if source_major then [||] else Array.make (block * rstride) 0 in
   (* Slots each source filled in the current block; written by the
      owning shard only. *)
   let filled_by = Array.make n 0 in
@@ -385,22 +413,20 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   let shard_lo = Array.init (nshards + 1) (fun s -> s * n / nshards) in
   let cur_t0 = ref 0 in
   let cur_bs = ref 0 in
-  (* Per-shard, per-block: did every staged slot carry class 0? The
-     overwhelmingly common single-class case then skips the class
-     transpose (and the central loop skips the class row entirely) —
-     the staged class values are all equal, so nothing observable
-     depends on reading them. [crow_zeroed] is the invariant that a
-     shard's crow columns currently hold 0, letting consecutive
-     all-class-0 blocks skip even the zero-fill. *)
-  let shard_all0 = Array.make nshards false in
+  (* General path: a shard whose staged slots all carried class 0 —
+     the overwhelmingly common single-class case — skips the class
+     transpose, since its crow columns need only hold 0.
+     [crow_zeroed] is the invariant that a shard's crow columns
+     currently hold 0, letting consecutive all-class-0 blocks skip
+     even the zero-fill. *)
   let crow_zeroed = Array.make nshards false in
-  (* One task per shard per block: pull every owned source, then
-     restage the shard's columns slot-major. The transpose is tiled
-     so each cache line of the source-major stage is read once and
-     each line of the slot-major stage written once, instead of one
-     miss per (source, slot). Neighbor shards share row cache lines
-     only at their column boundary — bounded false sharing, no
-     overlapping writes. *)
+  (* One task per shard per block: pull every owned source and, on the
+     general path, restage the shard's columns slot-major. The
+     transpose is tiled so each cache line of the source-major stage
+     is read once and each line of the slot-major stage written once,
+     instead of one miss per (source, slot). Neighbor shards share row
+     cache lines only at their column boundary — bounded false
+     sharing, no overlapping writes. *)
   let tile = 32 in
   let shard_task s =
     let t0 = !cur_t0 and bs = !cur_bs in
@@ -420,29 +446,31 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
       for i = !i0 to i1 - 1 do
         settle_source t0 bs i
       done;
-      for i = !i0 to i1 - 1 do
-        let off = i * sstride in
-        let z = ref true in
-        for b = 0 to bs - 1 do
-          if Array.unsafe_get cbuf (off + b) <> 0 then z := false
+      if not source_major then begin
+        for i = !i0 to i1 - 1 do
+          let off = i * sstride in
+          let z = ref true in
+          for b = 0 to bs - 1 do
+            if Array.unsafe_get cbuf (off + b) <> 0 then z := false
+          done;
+          if not !z then all0 := false
         done;
-        if not !z then all0 := false
-      done;
-      let b0 = ref 0 in
-      while !b0 < bs do
-        let b1 = Stdlib.min bs (!b0 + tile) in
-        for b = !b0 to b1 - 1 do
-          let row = b * rstride in
-          for i = !i0 to i1 - 1 do
-            Array.unsafe_set wrow (row + i) (Array.unsafe_get wbuf ((i * sstride) + b))
-          done
-        done;
-        b0 := b1
-      done;
+        let b0 = ref 0 in
+        while !b0 < bs do
+          let b1 = Stdlib.min bs (!b0 + tile) in
+          for b = !b0 to b1 - 1 do
+            let row = b * rstride in
+            for i = !i0 to i1 - 1 do
+              Array.unsafe_set wrow (row + i) (Array.unsafe_get wbuf ((i * sstride) + b))
+            done
+          done;
+          b0 := b1
+        done
+      end;
       i0 := i1
     done;
-    shard_all0.(s) <- !all0;
-    if !all0 then begin
+    if source_major then ()
+    else if !all0 then begin
       if not crow_zeroed.(s) then begin
         for b = 0 to block - 1 do
           Array.fill crow ((b * rstride) + lo) (hi - lo) 0
@@ -495,6 +523,11 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   let q_quant = Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles) in
   let d_quant = Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles) in
   let nq = Array.length q_quant in
+  (* The values the estimators take each slot — queue, queue delay,
+     class delay — are written here and read in place
+     ([Online.add_at], [Online.P2.add_at]): a float passed across the
+     module boundary would be boxed at every call. *)
+  let obs = Array.make 3 0.0 in
   (* Per-class virtual-delay tracking: class backlogs follow the same
      arrivals-then-service recursion as [q], kept strictly apart from
      the Lindley state so the queue floats never depend on it. *)
@@ -506,7 +539,6 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   (* Trajectory state is written only when a sink is present, so runs
      without one execute the identical float sequence. [traj_cls]
      holds the per-(class, source) backlog cells. *)
-  let has_traj = trajectory <> None in
   let traj_served = if has_traj then Array.make n 0.0 else [||] in
   let traj_delay = if has_traj then Array.make n 0.0 else [||] in
   let traj_cls = if has_traj then Array.make (max_classes * n) 0.0 else [||] in
@@ -515,14 +547,152 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
   let traj_class_delay = if has_traj then Array.make max_classes 0.0 else [||] in
   let unbounded = buffer = infinity in
   let st = { q = 0.0; served = 0.0; room = 0.0; rem = 0.0; prefix = 0.0 } in
-  (* Single-class lane: when a whole staged block carried only class 0
-     and neither a policer nor a trajectory sink reads per-source
-     outcomes, admission needs no class row and no works/classes
-     scratch, at any buffer. Every floating-point operation it performs
-     is the general path's for class 0, on the same values in the same
-     source order, so the lane is bitwise invisible. *)
-  let lane_ok = Option.is_none police && not has_traj in
-  let blk_all0 = ref false in
+  (* Source-major scratch, per slot of the block: the sanitized total
+     work [tot], and once a class other than 0 appears ([multi]), the
+     slot's top class [ctop] and the per-(class, slot) work sums
+     [csum] (class c, slot b at [c * block + b]). [fsc] holds each
+     (class, slot)'s admission fraction for pass C. [csum] and [fsc]
+     grow by whole class rows, to the classes seen. [bad_slot] is the
+     first slot of the block, in slot-major order, whose staged class
+     is outside [0, max_classes), and [bad_src] its lowest such
+     source. [whole] records that every admitted slot of the block so
+     far admitted all its work. *)
+  let tot = if source_major then Array.make block 0.0 else [||] in
+  let ctop = if source_major then Array.make block 0 else [||] in
+  let csum = ref [||] in
+  let fsc = ref (if source_major && not unbounded then Array.make block 0.0 else [||]) in
+  let crows = ref 0 in
+  let multi = ref false in
+  let bad_slot = ref max_int in
+  let bad_src = ref 0 in
+  let whole = ref true in
+  (* Makes class rows [0, r) of [csum] hold zeros for the block's [bs]
+     slots, keeping the rows already summed, and [fsc] as many rows. *)
+  let class_rows r bs =
+    if r * block > Array.length !csum then begin
+      let grown = Array.make (r * block) 0.0 in
+      Array.blit !csum 0 grown 0 (!crows * block);
+      csum := grown;
+      if not unbounded then fsc := Array.make (r * block) 0.0
+    end;
+    for c = !crows to r - 1 do
+      Array.fill !csum (c * block) bs 0.0
+    done;
+    if r > !crows then crows := r
+  in
+  (* Pass A over the staged block. Two sources per sweep, [(s +. w_i)
+     +. w_(i+1)], keep every slot total in source order. [w >= 0.0 &&
+     w < infinity] is false exactly for NaN, negative and +inf work,
+     the corrupt values, and keeps -0.0; the staged value itself is
+     left as it is. A segment carrying a class other than 0 restarts
+     the block in class-summing mode. *)
+  let sum_block bs =
+    Array.fill tot 0 bs 0.0;
+    multi := false;
+    bad_slot := max_int;
+    whole := true;
+    let i = ref 0 in
+    while (not !multi) && !i < n do
+      let o1 = !i * sstride in
+      let z = ref 0 in
+      if !i + 1 < n then begin
+        let o2 = o1 + sstride in
+        for b = 0 to bs - 1 do
+          let w1 = Array.unsafe_get wbuf (o1 + b) in
+          let w2 = Array.unsafe_get wbuf (o2 + b) in
+          let w1 = if w1 >= 0.0 && w1 < infinity then w1 else 0.0 in
+          let w2 = if w2 >= 0.0 && w2 < infinity then w2 else 0.0 in
+          Array.unsafe_set tot b (Array.unsafe_get tot b +. w1 +. w2);
+          z := !z lor Array.unsafe_get cbuf (o1 + b) lor Array.unsafe_get cbuf (o2 + b)
+        done;
+        i := !i + 2
+      end
+      else begin
+        for b = 0 to bs - 1 do
+          let w = Array.unsafe_get wbuf (o1 + b) in
+          let w = if w >= 0.0 && w < infinity then w else 0.0 in
+          Array.unsafe_set tot b (Array.unsafe_get tot b +. w);
+          z := !z lor Array.unsafe_get cbuf (o1 + b)
+        done;
+        i := !i + 1
+      end;
+      if !z <> 0 then multi := true
+    done;
+    if !multi then begin
+      Array.fill tot 0 bs 0.0;
+      Array.fill ctop 0 bs 0;
+      crows := 0;
+      class_rows 1 bs;
+      for i = 0 to n - 1 do
+        let off = i * sstride in
+        let top = ref 0 in
+        for b = 0 to bs - 1 do
+          let c = Array.unsafe_get cbuf (off + b) in
+          if c < 0 || c >= max_classes then begin
+            if b < !bad_slot then begin
+              bad_slot := b;
+              bad_src := i
+            end
+          end
+          else if c > !top then top := c
+        done;
+        if !top >= !crows then class_rows (!top + 1) bs;
+        let cs = !csum in
+        for b = 0 to bs - 1 do
+          let w = Array.unsafe_get wbuf (off + b) in
+          let w = if w >= 0.0 && w < infinity then w else 0.0 in
+          Array.unsafe_set tot b (Array.unsafe_get tot b +. w);
+          let c = Array.unsafe_get cbuf (off + b) in
+          if c >= 0 && c < max_classes then begin
+            let k = (c * block) + b in
+            Array.unsafe_set cs k (Array.unsafe_get cs k +. w);
+            if c > Array.unsafe_get ctop b then Array.unsafe_set ctop b c
+          end
+        done
+      done
+    end
+  in
+  (* Pass C over the block's first [lim] slots, the ones pass B
+     admitted. *)
+  let account lim =
+    let fs = !fsc and mc = !multi and all = unbounded || !whole in
+    for i = 0 to n - 1 do
+      let off = i * sstride in
+      let o = ref (Array.unsafe_get offered i) in
+      let a = ref (Array.unsafe_get admitted i) in
+      let l = ref (Array.unsafe_get lost i) in
+      let pk = ref (Array.unsafe_get peak i) in
+      let bad = ref 0 in
+      for b = 0 to lim - 1 do
+        let w = Array.unsafe_get wbuf (off + b) in
+        let w =
+          if w >= 0.0 && w < infinity then w
+          else begin
+            incr bad;
+            0.0
+          end
+        in
+        o := !o +. w;
+        if w > !pk then pk := w;
+        if all then a := !a +. w
+        else begin
+          let c = if mc then Array.unsafe_get cbuf (off + b) else 0 in
+          let f = Array.unsafe_get fs ((c * block) + b) in
+          if f = 1.0 then a := !a +. w
+          else begin
+            let x = w *. f in
+            a := !a +. x;
+            l := !l +. (w -. x)
+          end
+        end
+      done;
+      Array.unsafe_set offered i !o;
+      Array.unsafe_set admitted i !a;
+      Array.unsafe_set lost i !l;
+      Array.unsafe_set peak i !pk;
+      Array.unsafe_set corrupt i (Array.unsafe_get corrupt i + !bad)
+    done
+  in
   let es =
     {
       es_sources = sources;
@@ -561,6 +731,7 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
     let t = !next in
     next := t + 1;
     if t >= !base + !filled then begin
+      if source_major then account !filled;
       (* All shards idle, every source exactly at slot [t] — the only
          points where a snapshot captures a consistent whole-run
          state. The snapshot is shard-count-independent — a run
@@ -577,76 +748,65 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
       cur_t0 := t;
       cur_bs := bs;
       Ss_parallel.Barrier.run barrier;
-      blk_all0 :=
-        (let ok = ref true in
-         for s = 0 to nshards - 1 do
-           if not shard_all0.(s) then ok := false
-         done;
-         !ok)
+      if source_major then sum_block bs
     end;
-    let row = (t - !base) * rstride in
     (* The slot's admitted work, summed in source order. *)
     let adm = ref 0.0 in
-    if lane_ok && !blk_all0 then begin
-      (* Pass 1 zeroes corrupt work in place in the row, accounts the
-         offered work and sums it. An unbounded buffer admits it all,
-         so admission is folded in: [adm] is then that same sum. *)
-      let sum = ref 0.0 in
-      for i = 0 to n - 1 do
-        let w0 = Array.unsafe_get wrow (row + i) in
-        let w =
-          if w0 <> w0 || w0 < 0.0 || w0 = infinity then begin
-            Array.unsafe_set corrupt i (Array.unsafe_get corrupt i + 1);
-            Array.unsafe_set wrow (row + i) 0.0;
-            0.0
-          end
-          else w0
-        in
-        Array.unsafe_set offered i (Array.unsafe_get offered i +. w);
-        if w > Array.unsafe_get peak i then Array.unsafe_set peak i w;
-        sum := !sum +. w;
-        if unbounded then Array.unsafe_set admitted i (Array.unsafe_get admitted i +. w)
-      done;
-      if !top_class < 0 then begin
-        class_quant.(0) <-
-          Some (Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles));
-        top_class := 0
+    if source_major then begin
+      (* Pass B: slot [b] of the staged block. *)
+      let b = t - !base in
+      if b = !bad_slot then begin
+        let i = !bad_src in
+        invalid_arg
+          (Printf.sprintf "Mux.run: source %s yielded class %d" sources.(i).Source.name
+             cbuf.((i * sstride) + b))
       end;
-      let s = !sum in
+      let top = if !multi then ctop.(b) else 0 in
+      if top > !top_class then begin
+        for c = !top_class + 1 to top do
+          class_quant.(c) <-
+            Some (Array.of_list (List.map (fun p -> (p, Online.P2.create ~p)) quantiles))
+        done;
+        top_class := top
+      end;
       if unbounded then begin
-        adm := s;
-        class_adm.(0) <- s
+        adm := tot.(b);
+        if !multi then
+          for c = 0 to top do
+            class_adm.(c) <- !csum.((c * block) + b)
+          done
+        else class_adm.(0) <- tot.(b)
       end
       else begin
-        (* Class 0's admission, as in the general path below. *)
-        let room = fmax 0.0 (buffer +. service -. st.q) in
-        let f = if s <= 0.0 then 0.0 else if s <= room then 1.0 else room /. s in
-        class_scale.(0) <- f;
-        st.room <- fmax 0.0 (room -. (s *. f));
-        class_adm.(0) <- s *. f;
-        if f = 1.0 then begin
-          (* The whole slot fits: [w *. 1.0 = w], so the admitted sum
-             is pass 1's sum, and [lost] would gain [w -. w = +0.0],
-             which changes no sum that is not -0.0. [lost] starts at
-             +0.0 and only ever adds such differences, never -0.0, so
-             it is never -0.0 and is left alone. *)
-          adm := s;
+        (* Strict-priority admission, as on the general path below,
+           keeping each class's fraction for pass C. *)
+        let fs = !fsc in
+        let fits = ref true in
+        st.room <- fmax 0.0 (buffer +. service -. st.q);
+        for c = 0 to top do
+          let s = if !multi then !csum.((c * block) + b) else tot.(b) in
+          let f = if s <= 0.0 then 0.0 else if s <= st.room then 1.0 else st.room /. s in
+          fs.((c * block) + b) <- f;
+          st.room <- fmax 0.0 (st.room -. (s *. f));
+          class_adm.(c) <- s *. f;
+          if s > 0.0 && f <> 1.0 then fits := false
+        done;
+        if !fits then adm := tot.(b)
+        else begin
+          (* Some class was cut or refused: gather the slot's column. *)
+          whole := false;
           for i = 0 to n - 1 do
-            Array.unsafe_set admitted i
-              (Array.unsafe_get admitted i +. Array.unsafe_get wrow (row + i))
+            let off = (i * sstride) + b in
+            let w = Array.unsafe_get wbuf off in
+            let w = if w >= 0.0 && w < infinity then w else 0.0 in
+            let c = if !multi then Array.unsafe_get cbuf off else 0 in
+            adm := !adm +. (w *. fs.((c * block) + b))
           done
         end
-        else
-          for i = 0 to n - 1 do
-            let w = Array.unsafe_get wrow (row + i) in
-            let a = w *. f in
-            adm := !adm +. a;
-            Array.unsafe_set admitted i (Array.unsafe_get admitted i +. a);
-            Array.unsafe_set lost i (Array.unsafe_get lost i +. (w -. a))
-          done
       end
     end
     else begin
+    let row = (t - !base) * rstride in
     let max_class = ref 0 in
     (* Accounting pass over slot t's contiguous row. Under an unbounded
        buffer the admission accumulation is fused in — each
@@ -781,12 +941,12 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
     st.prefix <- 0.0;
     for c = 0 to !top_class do
       st.prefix <- st.prefix +. class_backlog.(c);
-      let d = st.prefix /. service in
-      if has_traj then traj_class_delay.(c) <- d;
+      obs.(2) <- st.prefix /. service;
+      if has_traj then traj_class_delay.(c) <- obs.(2);
       match class_quant.(c) with
       | Some qs ->
         for j = 0 to Array.length qs - 1 do
-          Online.P2.add (snd qs.(j)) d
+          Online.P2.add_at (snd qs.(j)) obs 2
         done
       | None -> ()
     done;
@@ -797,12 +957,14 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
         traj_delay.(i) <- traj_class_delay.(classes.(i))
       done;
       f ~slot:t ~served:traj_served ~delays:traj_delay);
-    Online.add queue_stats st.q;
+    obs.(0) <- st.q;
+    obs.(1) <- st.q /. service;
+    Online.add_at queue_stats obs 0;
     for j = 0 to nq - 1 do
-      Online.P2.add (snd q_quant.(j)) st.q
+      Online.P2.add_at (snd q_quant.(j)) obs 0
     done;
     for j = 0 to nq - 1 do
-      Online.P2.add (snd d_quant.(j)) (st.q /. service)
+      Online.P2.add_at (snd d_quant.(j)) obs 1
     done;
     for j = 0 to Array.length thr - 1 do
       if st.q > thr.(j) then thr_hits.(j) <- thr_hits.(j) + 1
@@ -812,6 +974,8 @@ let run ?pool ?shards ?(buffer = infinity) ?(thresholds = []) ?(quantiles = [ 0.
       next := slots
     end
   done;
+  if source_major then
+    account (if !first_passage < 0 then !filled else !first_passage - !base + 1);
   let slots = if !first_passage < 0 then slots else !first_passage + 1 in
   let fslots = float_of_int slots in
   let total_offered = Array.fold_left ( +. ) 0.0 offered in

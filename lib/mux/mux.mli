@@ -113,16 +113,24 @@ val run :
     {b Engine.} There is one engine. The sources are partitioned into
     [shards] contiguous shards (default: the pool's domain count, or
     1); each shard advances all its sources one whole staged block of
-    slots through their block pulls and restages them slot-major,
+    slots through their block pulls into a source-major stage,
     shards synchronizing only at a coarse per-block barrier
     ({!Ss_parallel.Barrier} — no per-slot or per-source cross-domain
-    traffic). The sequential admission loop then consumes each slot's
-    arrivals from one contiguous row. Results are {b bit-identical}
-    at any shard count and any domain count: shards only choose which
-    task pulls and restages a source's block, while every
-    floating-point reduction runs on the caller in pinned source
-    order. With [shards] larger than the source count, the excess
-    shards are empty (clamped).
+    traffic). The caller then admits the block. A run with neither
+    [police] nor [trajectory] admits it where the shards left it: one
+    pass over the sources sums each slot's work (and, with several
+    classes, each class's), the slots are then admitted in order, and
+    a last pass over the sources settles each one's totals. A policed
+    or trajectory-capturing run has the shards also restage the block
+    slot-major, and consumes each slot's arrivals from one contiguous
+    row, where the policer and the trajectory see them source by
+    source. Results are {b bit-identical} at any shard count and any
+    domain count, and between the two layouts: shards only choose
+    which task pulls a source's block, while every floating-point
+    reduction runs on the caller in a pinned order — a slot's sums in
+    source order, a source's totals in slot order. With [shards]
+    larger than the source count, the excess shards are empty
+    (clamped).
 
     {b Stop.} With [stop_above = b] the run ends after the first slot
     [tau] whose queue (after the slot's Lindley step) exceeds [b] —
@@ -178,9 +186,11 @@ val run :
     and [> 0], [buffer] is NaN or [< 0] ([infinity] is the unbounded
     default), [shards < 1], no sources, a quantile outside (0,1), a
     threshold is NaN or negative, a source yields a class outside
-    [0, 63], [police] was created for a different number of sources,
-    [stop_above] is NaN or [< 0], a checkpoint interval is < 1, or a
-    source does not support checkpointing
+    [0, 63] at a slot the run admits (naming the lowest such source
+    of the first such slot; a stopped run never examines slots past
+    its stopping slot), [police] was created for a different number
+    of sources, [stop_above] is NaN or [< 0], a checkpoint interval
+    is < 1, or a source does not support checkpointing
     ({!Source.supports_checkpoint}).
     @raise Ss_checkpoint.Corrupt when [resume] does not match the
     reconstructed run or is structurally invalid. *)

@@ -221,7 +221,8 @@ module P2 = struct
     q.(i) <- h;
     pos.(i) <- pos.(i) +. d_f
 
-  let add t x =
+  (* Inlined into [add_at], so its argument is not boxed there. *)
+  let[@inline] add t x =
     t.n <- t.n + 1;
     if t.n <= 5 then begin
       (* Insertion into the sorted prefix. *)
@@ -267,6 +268,8 @@ module P2 = struct
         then adjust t i (if d >= 0.0 then 1 else -1)
       done
     end
+
+  let add_at t a j = add t a.(j)
 
   let quantile t =
     if t.n = 0 then invalid_arg "Online_stats.P2.quantile: empty";

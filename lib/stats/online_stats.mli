@@ -124,6 +124,10 @@ module P2 : sig
   val add : t -> float -> unit
   (** Feed one observation. *)
 
+  val add_at : t -> float array -> int -> unit
+  (** [add_at t a j] is [add t a.(j)], without boxing the observation.
+      @raise Invalid_argument if [j] is outside [a]. *)
+
   val count : t -> int
 
   val quantile : t -> float

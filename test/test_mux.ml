@@ -1997,6 +1997,74 @@ let prop_mux_single_class_matches_oracle =
         | None -> true
         | Some resume -> Mux.equal_report want (engine ~resume ())))
 
+let prop_mux_multi_class_matches_oracle =
+  QCheck.Test.make ~name:"unpoliced multi-class Mux.run = naive oracle, bitwise" ~count:40
+    ~long_factor:25
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 300))
+    (fun (seed, slots) ->
+      (* Every [mixed_sources] kind, the multi-class pull (2) in about
+         half the sources, no policer and no trajectory, over an
+         unbounded, empty, small or large buffer. A stopping level and
+         a checkpoint split are drawn independently, so some runs
+         stop after resuming. *)
+      let rng = Rng.create ~seed in
+      let pick xs = List.nth xs (Rng.int_range rng 0 (List.length xs - 1)) in
+      let kinds =
+        List.init (Rng.int_range rng 1 40) (fun _ ->
+            if Rng.bool rng then 2 else Rng.int_range rng 0 7)
+      in
+      let load = Rng.float_range rng 0.5 1.5 in
+      let service =
+        Array.fold_left (fun a s -> a +. s.Source.mean) 0.0 (mixed_sources ~seed kinds) /. load
+      in
+      let small = Rng.float_range rng 0.01 0.5 and large = Rng.float_range rng 2.0 8.0 in
+      let buffer = pick [ infinity; 0.0; small *. service; large *. service ] in
+      let thresholds =
+        List.init (Rng.int_range rng 0 2) (fun _ -> Rng.float_range rng 0.0 2.0 *. service)
+      in
+      let quantiles = pick [ [ 0.5; 0.9; 0.99 ]; []; [ 0.25 ] ] in
+      let shards = pick [ 1; 2; 4; 7 ] in
+      let pooled = Rng.bool rng in
+      let split =
+        if slots > 1 && Rng.bool rng then Some (Rng.int_range rng 1 (slots - 1)) else None
+      in
+      let oracle ?stop_above ?observe () =
+        Mux_oracle.run ~buffer ~thresholds ~quantiles ?stop_above ?observe ~service ~slots
+          (mixed_sources ~seed kinds)
+      in
+      let stop_above =
+        if Rng.bool rng then begin
+          let path = Array.make slots 0.0 in
+          ignore (oracle ~observe:(fun t q -> path.(t) <- q) () : Mux.report);
+          let q = path.(Rng.int_range rng 0 (slots - 1)) in
+          Some (if q > 0.0 then Float.pred q else 0.0)
+        end
+        else None
+      in
+      let want = oracle ?stop_above () in
+      let pool = if pooled then Some (Pool.create ~domains:2) else None in
+      Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
+      let engine ?checkpoint ?resume () =
+        Mux.run ?pool ~shards ~buffer ~thresholds ~quantiles ?stop_above ?checkpoint ?resume
+          ~service ~slots (mixed_sources ~seed kinds)
+      in
+      match split with
+      | None -> Mux.equal_report want (engine ())
+      | Some every -> (
+        let first = ref None in
+        let save ~slot:_ fill =
+          if !first = None then begin
+            let w = Ss_checkpoint.W.create () in
+            fill w;
+            first := Some (Ss_checkpoint.R.of_string (Ss_checkpoint.W.contents w))
+          end
+        in
+        Mux.equal_report want (engine ~checkpoint:{ Mux.every; save } ())
+        &&
+        match !first with
+        | None -> true
+        | Some resume -> Mux.equal_report want (engine ~resume ())))
+
 (* ------------------------------------------------------------------ *)
 (* Mux_is: importance-sampled shared-buffer overflow                    *)
 (* ------------------------------------------------------------------ *)
@@ -2947,6 +3015,271 @@ let test_mux_lane_matches_oracle () =
   check ~want "stopped" (lane_run ~stop_above ())
 
 (* ------------------------------------------------------------------ *)
+(* Finite-buffer, multi-class unpoliced runs                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A cycling replay of (work, class) pairs behind [Source.make], with
+   its position checkpointed. *)
+let classed_replay ~name works classes =
+  let len = Array.length works in
+  let k = ref 0 in
+  let ckpt =
+    {
+      Source.ck_save = (fun w -> Ss_checkpoint.W.int w !k);
+      ck_restore = (fun r -> k := Ss_checkpoint.R.int r);
+    }
+  in
+  let mean = Array.fold_left ( +. ) 0.0 works /. float_of_int len in
+  Source.make ~ckpt ~name ~mean ~sigma2:1.0 ~hurst:0.5 (fun () ->
+      let j = !k mod len in
+      incr k;
+      (works.(j), classes.(j)))
+
+(* 140 sources: six composite MPEG sources with I/P/B frames in
+   classes 0/1/2, three classed replays over classes 0-4, 130 cycling
+   class-0 replays and one 40-slot replay that departs. The first
+   source with a class other than 0 is the 20th. Classed replays 0 and
+   2 and class-0 replays 3 and 101 carry NaN, -1, +inf and -0.0 at
+   fixed positions of their cycles, some of them in classes 1-4. *)
+let classed_sources () =
+  let rng = Rng.create ~seed:2121 in
+  let mp = Lazy.force small_mpeg in
+  let seg () =
+    let len = Rng.int_range rng 48 160 in
+    Array.init len (fun _ -> Rng.exponential rng ~rate:(1.0 /. 900.0))
+  in
+  let plant a ps = List.iter (fun (j, v) -> a.(j) <- v) ps in
+  let replay i =
+    let a = seg () in
+    if i = 3 then plant a [ (2, nan); (17, -1.0); (30, -0.0); (44, infinity) ];
+    if i = 101 then plant a [ (7, infinity); (9, -0.0); (40, nan) ];
+    Source.of_array ~name:(Printf.sprintf "r%03d" i) ~cycle:true a
+  in
+  let classed k =
+    let a = seg () in
+    let c = Array.init (Array.length a) (fun _ -> Rng.int_range rng 0 4) in
+    if k = 0 then plant a [ (1, nan); (5, -1.0); (8, infinity); (13, -0.0) ];
+    if k = 2 then plant a [ (4, -0.0); (6, nan) ];
+    classed_replay ~name:(Printf.sprintf "c%d" k) a c
+  in
+  let mpeg k =
+    Source.of_mpeg ~name:(Printf.sprintf "m%d" k) ~order:24 ~phase:(12 * k) ~priority:true mp
+      (Rng.split rng)
+  in
+  let next_replay = ref 0 and next_classed = ref 0 and next_mpeg = ref 0 in
+  let take r =
+    let v = !r in
+    incr r;
+    v
+  in
+  Array.init 140 (fun i ->
+      if i = 139 then Source.of_array ~name:"short" (Array.sub (seg ()) 0 40)
+      else if i = 19 || i = 54 || i = 77 || i = 98 || i = 111 || i = 130 then
+        mpeg (take next_mpeg)
+      else if i = 20 || i = 61 || i = 125 then classed (take next_classed)
+      else replay (take next_replay))
+
+(* The offered load is ~0.79 of the service, and the buffer
+   overflows on 84 of the 3000 slots. *)
+let classed_service = 173_000.0
+let classed_buffer = 2_000.0
+let classed_slots = 3000
+
+let classed_run ?pool ?shards ?checkpoint ?resume ?stop_above () =
+  Mux.run ?pool ?shards ?checkpoint ?resume ?stop_above ~buffer:classed_buffer
+    ~service:classed_service ~slots:classed_slots (classed_sources ())
+
+let test_mux_classed_fixture () =
+  (* Bits captured while every unpoliced run transposed its staged
+     blocks slot-major and admitted each slot from one row. The run
+     loses work on 84 of its 3000 slots: some of them cut class 0,
+     the rest refuse or cut classes 1-4. *)
+  let r = classed_run () in
+  let hex x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  let per_source = Buffer.create 16384 in
+  Array.iter
+    (fun s ->
+      Printf.bprintf per_source "%s %s %s %s %s %d %s\n" s.Mux.name (hex s.Mux.offered)
+        (hex s.Mux.admitted) (hex s.Mux.lost) (hex s.Mux.peak_rate) s.Mux.corrupt_slots
+        (match s.Mux.departed_at with None -> "-" | Some t -> string_of_int t))
+    r.Mux.per_source;
+  let quantiles qs = String.concat " " (List.map (fun (_, v) -> hex v) qs) in
+  let named name = List.find (fun s -> s.Mux.name = name) (Array.to_list r.Mux.per_source) in
+  Alcotest.(check (list (pair string string)))
+    "finite-buffer multi-class run"
+    [
+      ("mean_queue", "404ef89e278b22e5");
+      ("max_queue", "409f400000000280");
+      ("loss_fraction", "3f651b9ec1baf420");
+      ("offered_utilization", "3fe963e8250546d5");
+      ("carried_utilization", "3fe95328aa6a1b03");
+      ("queue quantiles", "3f2c2a3e144ad524 3f0d63c3beb21bf3 409f3ffd51843950");
+      ("delay quantiles", "3e1556c7a0a9f6d8 3df6445135922448 3f87ad2000c5280a");
+      ("class 0 delay quantiles", "3e13458b1d098a24 3e729423163ca02b 3f87aca5ee532662");
+      ("class 1 delay quantiles", "3e1436bcf557e7e1 3e6657d3d3dfe8aa 3f87ad1fefc1b054");
+      ("class 2 delay quantiles", "3e1495c34100b1b3 3e7099fc88f3210f 3f87ad207dc63d2d");
+      ("class 3 delay quantiles", "3e14d95ed5f4f5d4 3e701f2313b8abb4 3f87ad212cda7a4a");
+      ("class 4 delay quantiles", "3dfe9a13866d0cf5 3e4a815d90970959 3f87ad1ec27e0154");
+      ("c0 lost", "40e239e24eaa8ab9");
+      ("m2 admitted", "41636eb46df01c34");
+      ("corrupt slots", "188 120 114 24");
+      ("departed at", "40");
+      ("per source", "11ad447f086e101d3f10174b2c48e3bb");
+    ]
+    ([
+       ("mean_queue", hex r.Mux.mean_queue);
+       ("max_queue", hex r.Mux.max_queue);
+       ("loss_fraction", hex r.Mux.loss_fraction);
+       ("offered_utilization", hex r.Mux.offered_utilization);
+       ("carried_utilization", hex r.Mux.carried_utilization);
+       ("queue quantiles", quantiles r.Mux.queue_quantiles);
+       ("delay quantiles", quantiles r.Mux.delay_quantiles);
+     ]
+    @ List.map
+        (fun (c, qs) -> (Printf.sprintf "class %d delay quantiles" c, quantiles qs))
+        r.Mux.class_delay_quantiles
+    @ [
+        ("c0 lost", hex (named "c0").Mux.lost);
+        ("m2 admitted", hex (named "m2").Mux.admitted);
+        ( "corrupt slots",
+          String.concat " "
+            (List.map
+               (fun name -> string_of_int (named name).Mux.corrupt_slots)
+               [ "r003"; "r101"; "c0"; "c2" ]) );
+        ("departed at", Option.fold ~none:"-" ~some:string_of_int (named "short").Mux.departed_at);
+        ("per source", Digest.to_hex (Digest.string (Buffer.contents per_source)));
+      ])
+
+let test_mux_classed_matches_oracle () =
+  (* The fixture's run is the naive oracle's, bitwise: at 1, 3 and 4
+     shards and over a pool, across a checkpoint split and its resume,
+     and stopped at its first queue above 0.9 of the buffer. *)
+  let oracle ?stop_above () =
+    Mux_oracle.run ?stop_above ~buffer:classed_buffer ~service:classed_service
+      ~slots:classed_slots (classed_sources ())
+  in
+  let whole = oracle () in
+  let check ?(want = whole) label r =
+    if not (Mux.equal_report want r) then Alcotest.failf "%s: differs from the oracle" label
+  in
+  List.iter
+    (fun shards -> check (Printf.sprintf "shards=%d" shards) (classed_run ~shards ()))
+    [ 1; 3; 4 ];
+  let pool = Pool.create ~domains:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      check "pooled" (classed_run ~pool ());
+      check "pooled, shards=3" (classed_run ~pool ~shards:3 ()));
+  let first = ref None in
+  let save ~slot fill =
+    if !first = None then begin
+      let w = Ss_checkpoint.W.create () in
+      fill w;
+      first := Some (slot, Ss_checkpoint.W.contents w)
+    end
+  in
+  check "checkpointed" (classed_run ~checkpoint:{ Mux.every = 1100; save } ());
+  let slot, bytes = Option.get !first in
+  check
+    (Printf.sprintf "resumed at slot %d" slot)
+    (classed_run ~resume:(Ss_checkpoint.R.of_string bytes) ());
+  let stop_above = 0.9 *. classed_buffer in
+  let want = oracle ~stop_above () in
+  if want.Mux.first_passage = None then Alcotest.fail "the stopped run never stopped: vacuous";
+  check ~want "stopped" (classed_run ~stop_above ())
+
+let test_mux_class_range_under_stop () =
+  (* Three sources send 1 a slot, and source a sends 100 at slot 10:
+     at service 10 the queue first exceeds 50 at slot 10, so a
+     stopped run ends at tau = 10, inside the 8-slot staging block
+     8..15. [bad] lists the (source, slot) pairs that yield class 64
+     (or -1, with [neg]). A class outside [0, 63] is refused at the
+     first such slot the run examines, naming the lowest such source
+     of that slot; slots after tau are never examined. *)
+  let run ?(neg = false) ?stop_above bad =
+    let src i name =
+      let t = ref 0 in
+      Source.make ~name ~mean:1.0 ~sigma2:0.0 ~hurst:0.5 (fun () ->
+          let s = !t in
+          incr t;
+          ( (if i = 0 && s = 10 then 100.0 else 1.0),
+            if List.mem (i, s) bad then if neg then -1 else 64 else 0 ))
+    in
+    Mux.run ?stop_above ~service:10.0 ~slots:64 [| src 0 "a"; src 1 "b"; src 2 "c" |]
+  in
+  let stop_above = 50.0 in
+  let r = run ~stop_above [ (1, 13) ] in
+  Alcotest.(check (option int)) "class 64 after tau: stopped at tau" (Some 10) r.Mux.first_passage;
+  let refused ?neg ?stop_above label who bad =
+    let cls = if neg = Some true then -1 else 64 in
+    raises_invalid
+      ~prefix:(Printf.sprintf "Mux.run: source %s yielded class %d" who cls)
+      label
+      (fun () -> run ?neg ?stop_above bad)
+  in
+  refused ~stop_above "class 64 at tau" "b" [ (1, 10) ];
+  refused ~stop_above "class 64 before tau" "b" [ (1, 9) ];
+  refused ~stop_above "class -1 before tau" ~neg:true "c" [ (2, 8) ];
+  refused ~stop_above "slot-major first of two slots" "c" [ (1, 10); (2, 9) ];
+  refused ~stop_above "lowest source of one slot" "b" [ (2, 9); (1, 9) ];
+  refused "unstopped: slot-major first" "c" [ (1, 50); (2, 40); (0, 41) ]
+
+let test_mux_no_slot_major_rows () =
+  (* An unpoliced run admits from the source-major stage. At 4096
+     sources (256-slot blocks) the engine's two stages hold
+     2 x 4096 x 264 words, ~2.2e6; a slot-major copy of them would add
+     2 x 256 x 4104 more (4.3e6 words in all). *)
+  let arr = Array.init 96 (fun i -> float_of_int (1 + (i mod 7))) in
+  let srcs =
+    Array.init 4096 (fun i -> Source.of_array ~name:(Printf.sprintf "r%04d" i) ~cycle:true arr)
+  in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r = Mux.run ~buffer:10.0 ~service:(4.0 *. 4096.0) ~slots:512 srcs in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check int) "ran every slot" 512 r.Mux.slots;
+  if words >= 3.0e6 then
+    Alcotest.failf "an unpoliced 4096-source run allocates %.0f major words" words
+
+let test_mux_statistics_unboxed () =
+  (* The queue, delay and class-delay estimators are fed in place, so
+     with the default three quantiles (ten estimator updates a slot) a
+     one-source run allocates nothing per slot beyond per-block
+     bookkeeping: ~20 minor words a slot when each update boxed its
+     float. *)
+  let arr = Array.init 96 (fun i -> float_of_int (1 + (i mod 7))) in
+  List.iter
+    (fun buffer ->
+      let run slots =
+        Mux.run ~buffer ~service:3.0 ~slots [| Source.of_array ~cycle:true arr |]
+      in
+      let (_ : Mux.report) = run 1024 in
+      let slots = 65536 in
+      let w0 = Gc.minor_words () in
+      let (_ : Mux.report) = run slots in
+      let words = (Gc.minor_words () -. w0) /. float_of_int slots in
+      if words >= 1.0 then
+        Alcotest.failf "buffer %g: %.2f minor words per slot" buffer words)
+    [ infinity; 2.0 ]
+
+let test_mux_checkpoint_refuses_hand_rolled () =
+  (* A hand-rolled pull without [~ckpt] has no snapshot codec: a
+     checkpointed run refuses it by name, before any slot. *)
+  let hand = Source.make ~name:"hand" ~mean:1.0 ~sigma2:0.0 ~hurst:0.5 (fun () -> (1.0, 0)) in
+  let steady = Source.of_array ~name:"steady" ~cycle:true [| 1.0 |] in
+  let save ~slot:_ _ = Alcotest.fail "snapshot taken" in
+  match Mux.run ~checkpoint:{ Mux.every = 4; save } ~service:4.0 ~slots:16 [| steady; hand |] with
+  | exception Invalid_argument m ->
+    let has sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length m && (String.sub m i n = sub || go (i + 1)) in
+      go 0
+    in
+    if not (has "source hand does not support checkpointing" && has "without ~ckpt") then
+      Alcotest.failf "refusal %S does not name the source and its missing ~ckpt" m
+  | _ -> Alcotest.fail "a hand-rolled pull was checkpointed"
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -2956,6 +3289,7 @@ let qcheck_cases =
       prop_p2_within_range;
       prop_mux_matches_oracle;
       prop_mux_single_class_matches_oracle;
+      prop_mux_multi_class_matches_oracle;
     ]
 
 let () =
@@ -3033,6 +3367,12 @@ let () =
           tc "stop dispatch / refusal" test_mux_sharded_stop_dispatch;
           tc "fixture: finite buffer, single class" test_mux_lane_fixture;
           tc "finite buffer, single class = oracle" test_mux_lane_matches_oracle;
+          tc "fixture: finite buffer, multi-class" test_mux_classed_fixture;
+          tc "finite buffer, multi-class = oracle" test_mux_classed_matches_oracle;
+          tc "class range under stop_above" test_mux_class_range_under_stop;
+          tc "no slot-major rows" test_mux_no_slot_major_rows;
+          tc "per-slot statistics box nothing" test_mux_statistics_unboxed;
+          tc "checkpoint refuses a hand-rolled pull by name" test_mux_checkpoint_refuses_hand_rolled;
         ] );
       ( "mux-is",
         [
